@@ -251,11 +251,13 @@ def read_coloring(text: str) -> EdgeColoring:
         body = line.split("#", 1)[0]
         for m in _TOKEN.finditer(body):
             tokens.append((m.group(), lineno, m.start() + 1))
+    stream = iter(tokens)
 
     def take_int(what: str, minimum: int | None = None) -> int:
-        if not tokens:
+        item = next(stream, None)
+        if item is None:
             raise ParseError(f"missing {what}", last_line, 1)
-        tok, line, col = tokens.pop(0)
+        tok, line, col = item
         try:
             value = int(tok)
         except ValueError:
@@ -269,11 +271,12 @@ def read_coloring(text: str) -> EdgeColoring:
     expected = n * (n - 1) // 2
     colors = []
     for _ in range(expected):
-        if not tokens:
+        item = next(stream, None)
+        if item is None:
             raise ParseError(
                 f"expected {expected} edge colors, found {len(colors)}", last_line, 1
             )
-        tok, line, col = tokens.pop(0)
+        tok, line, col = item
         try:
             value = int(tok)
         except ValueError:
@@ -281,8 +284,9 @@ def read_coloring(text: str) -> EdgeColoring:
         if not 1 <= value <= k:
             raise ParseError(f"color {value} outside palette [1, {k}]", line, col)
         colors.append(value)
-    if tokens:
-        tok, line, col = tokens[0]
+    extra = next(stream, None)
+    if extra is not None:
+        tok, line, col = extra
         raise ParseError(f"unexpected trailing token {tok!r}", line, col)
     return EdgeColoring(n, k, colors)
 

@@ -1,15 +1,22 @@
 """Detection of monochromatic paths, even cycles and matchings inside
 one color class of an edge coloring.
 
-All searches run over bitmask adjacency (one int per vertex) and return
-the lexicographically least embedding, so certificates are reproducible.
-Two devices keep the DFS small without losing completeness:
+All searches run over bitmask adjacency (one int per vertex). Every path
+and cycle search, both the whole-class searches behind `find_mono` and the
+verifier's through-edge checks, is a thin caller of one DFS core,
+`_extend`, which grows a simple path vertex by vertex in increasing vertex
+order, so the first hit is the lexicographically least embedding and
+certificates are reproducible. Two devices keep the DFS small without
+losing completeness:
 
-* failed (last vertex, visited mask) states are memoized, and
 * after a candidate extension fails, later candidates with the same
   class neighborhood are skipped. Swapping two such twins is an
   automorphism of the color class, so they fail identically. Extremal
   colorings are full of twins, which is exactly where naive DFS blows up.
+* the whole-class searches memoize failed (last vertex, visited mask)
+  states. The through-edge checks run without this memo: the verifier's
+  hosts have at most N <= ~10 vertices, and there the memo cost more time
+  than it saved.
 """
 
 from __future__ import annotations
@@ -38,47 +45,73 @@ def _twin_skip(w_adj: int, bit: int, tried: list[tuple[int, int]]) -> bool:
     return False
 
 
+def _extend(
+    adj: list[int],
+    last: int,
+    mask: int,
+    need: int,
+    allowed: int = -1,
+    close: int = -1,
+    hop: int = -1,
+    failed: Optional[set[tuple[int, int]]] = None,
+) -> Optional[list[int]]:
+    """Extend a simple path ending at `last` by `need` more vertices.
+
+    New vertices come from `allowed` outside `mask` (the vertices already
+    used), and the final vertex must have a neighbor in `close`; the
+    default -1 leaves the end free, since every path vertex has one. When
+    `hop` is a vertex, the search may once, at any point, continue from
+    `hop` instead of the current end: that grows the second arm of a path
+    through an edge. Failed (last, mask) states are recorded in `failed`
+    when given; the key ignores `allowed`, `close` and `hop`, so a memo may
+    be shared only by calls that fix the first two and never hop. The
+    twin skip needs swapping two candidates to fix every input, so callers
+    keep `close` at -1 or inside `mask`, and `hop` inside `mask`.
+
+    Returns the added vertices in the order they were added, or None.
+    """
+    if hop >= 0:
+        found = _extend(adj, hop, mask, need, allowed, close, -1, failed)
+        if found is not None:
+            return found
+    if need == 0:
+        return [] if adj[last] & close else None
+    if failed is not None and (last, mask) in failed:
+        return None
+    tried: list[tuple[int, int]] = []
+    cand = adj[last] & allowed & ~mask
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        w = bit.bit_length() - 1
+        w_adj = adj[w]
+        if _twin_skip(w_adj, bit, tried):
+            continue
+        found = _extend(adj, w, mask | bit, need - 1, allowed, close, hop, failed)
+        if found is not None:
+            return [w, *found]
+        tried.append((w_adj, bit))
+    if failed is not None:
+        failed.add((last, mask))
+    return None
+
+
 def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
     active = [v for v in range(n) if adj[v]]
     if len(active) < m:
         return None
     if sum(adj[v].bit_count() for v in active) // 2 < m - 1:
         return None
+    # one memo serves every start: the visited mask already holds the start
     failed: set[tuple[int, int]] = set()
-    out: list[int] = []
-
-    def extend(last: int, mask: int, need: int) -> bool:
-        if need == 0:
-            return True
-        key = (last, mask)
-        if key in failed:
-            return False
-        tried: list[tuple[int, int]] = []
-        cand = adj[last] & ~mask
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            w_adj = adj[w]
-            if _twin_skip(w_adj, bit, tried):
-                continue
-            out.append(w)
-            if extend(w, mask | bit, need - 1):
-                return True
-            out.pop()
-            tried.append((w_adj, bit))
-        failed.add(key)
-        return False
-
     tried_starts: list[tuple[int, int]] = []
     for s in active:
         bit = 1 << s
         if _twin_skip(adj[s], bit, tried_starts):
             continue
-        out.clear()
-        out.append(s)
-        if extend(s, bit, m - 1):
-            return out
+        rest = _extend(adj, s, bit, m - 1, failed=failed)
+        if rest is not None:
+            return [s, *rest]
         tried_starts.append((adj[s], bit))
     return None
 
@@ -87,47 +120,21 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
     active = [v for v in range(n) if adj[v].bit_count() >= 2]
     if len(active) < length:
         return None
-    full = (1 << n) - 1
-    out: list[int] = []
     tried_starts: list[tuple[int, int]] = []
     # phase s searches cycles whose minimum vertex is s, so every later
     # vertex is restricted above s and the first hit is lex-least overall
     for s in active:
         sbit = 1 << s
-        above = full & ~((1 << (s + 1)) - 1)
+        above = -1 << (s + 1)
         if (adj[s] & above).bit_count() < 2:
             continue
         if _twin_skip(adj[s], sbit, tried_starts):
             continue
-        failed: set[tuple[int, int]] = set()
-
-        def extend(last: int, mask: int, need: int) -> bool:
-            if need == 0:
-                return bool(adj[last] & sbit)
-            key = (last, mask)
-            if key in failed:
-                return False
-            tried: list[tuple[int, int]] = []
-            cand = adj[last] & ~mask & above
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                w = bit.bit_length() - 1
-                w_adj = adj[w]
-                if _twin_skip(w_adj, bit, tried):
-                    continue
-                out.append(w)
-                if extend(w, mask | bit, need - 1):
-                    return True
-                out.pop()
-                tried.append((w_adj, bit))
-            failed.add(key)
-            return False
-
-        out.clear()
-        out.append(s)
-        if extend(s, sbit, length - 1):
-            return out
+        rest = _extend(
+            adj, s, sbit, length - 1, allowed=above, close=sbit, failed=set()
+        )
+        if rest is not None:
+            return [s, *rest]
         tried_starts.append((adj[s], sbit))
     return None
 
@@ -292,73 +299,15 @@ def verify_embedding(c: EdgeColoring, e: Embedding) -> bool:
 
 
 def exists_path_through(adj: list[int], u: int, v: int, m: int) -> bool:
-    if m == 2:
-        return True
+    # one arm grows from u; the one-time hop to v grows the other arm
     base = (1 << u) | (1 << v)
-    need = m - 2
-
-    def grow(x: int, mask: int, left: int) -> bool:
-        if left == 0:
-            return True
-        tried: list[tuple[int, int]] = []
-        cand = adj[x] & ~mask
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            w_adj = adj[w]
-            if _twin_skip(w_adj, bit, tried):
-                continue
-            if grow(w, mask | bit, left - 1):
-                return True
-            tried.append((w_adj, bit))
-        return False
-
-    def left_side(x: int, mask: int, used: int) -> bool:
-        if grow(v, mask, need - used):
-            return True
-        if used == need:
-            return False
-        tried: list[tuple[int, int]] = []
-        cand = adj[x] & ~mask
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            w_adj = adj[w]
-            if _twin_skip(w_adj, bit, tried):
-                continue
-            if left_side(w, mask | bit, used + 1):
-                return True
-            tried.append((w_adj, bit))
-        return False
-
-    return left_side(u, base, 0)
+    return _extend(adj, u, base, m - 2, hop=v) is not None
 
 
 def exists_cycle_through(adj: list[int], u: int, v: int, length: int) -> bool:
     # a cycle through edge (u,v) is a u-to-v path on `length` vertices
     vbit = 1 << v
-    need = length - 2
-
-    def dfs(x: int, mask: int, left: int) -> bool:
-        if left == 0:
-            return bool(adj[x] & vbit)
-        tried: list[tuple[int, int]] = []
-        cand = adj[x] & ~mask & ~vbit
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            w_adj = adj[w]
-            if _twin_skip(w_adj, bit, tried):
-                continue
-            if dfs(w, mask | bit, left - 1):
-                return True
-            tried.append((w_adj, bit))
-        return False
-
-    return dfs(u, (1 << u) | vbit, need)
+    return _extend(adj, u, (1 << u) | vbit, length - 2, close=vbit) is not None
 
 
 def exists_matching_with_edge(

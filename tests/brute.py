@@ -8,7 +8,7 @@ bitmask, memoization or twin-skipping machinery.
 from itertools import product
 
 from gallai_ramsey import EdgeColoring, contains_required, is_gallai
-from gallai_ramsey.targets import CYCLE, PATH, TargetGraph
+from gallai_ramsey.targets import CYCLE, MATCHING, PATH, TargetGraph
 
 
 def brute_find_sequence(c: EdgeColoring, color: int, target: TargetGraph):
@@ -45,6 +45,42 @@ def brute_find_sequence(c: EdgeColoring, color: int, target: TargetGraph):
         return False
 
     return tuple(seq) if rec(0) else None
+
+
+def brute_exists_through(adj, u: int, v: int, target: TargetGraph) -> bool:
+    """Does the class with bitmask adjacency `adj` hold a copy of the
+    target that uses the edge uv?"""
+    n = len(adj)
+    joined = {(a, b) for a in range(n) for b in range(n) if adj[a] >> b & 1}
+    length = target.num_vertices
+    seq: list[int] = []
+
+    def closed_edges(pos: int) -> list[tuple[int, int]]:
+        # target edges whose later endpoint is the vertex at `pos`
+        if target.kind == MATCHING:
+            return [(seq[pos - 1], seq[pos])] if pos % 2 == 1 else []
+        out = [(seq[pos - 1], seq[pos])] if pos > 0 else []
+        if target.kind == CYCLE and pos == length - 1:
+            out.append((seq[pos], seq[0]))
+        return out
+
+    def rec(used: bool) -> bool:
+        pos = len(seq)
+        if pos == length:
+            return used
+        for w in range(n):
+            if w in seq:
+                continue
+            seq.append(w)
+            closed = closed_edges(pos)
+            if all(e in joined for e in closed) and rec(
+                used or any({a, b} == {u, v} for a, b in closed)
+            ):
+                return True
+            seq.pop()
+        return False
+
+    return rec(False)
 
 
 def brute_decide_upper(n: int, targets) -> str:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brute import brute_find_sequence
+from brute import brute_exists_through, brute_find_sequence
 from gallai_ramsey import (
     EdgeColoring,
     SpecLengthMismatchError,
@@ -16,8 +16,14 @@ from gallai_ramsey import (
     path,
     verify_embedding,
 )
-from gallai_ramsey.search import MATCHING_DP_LIMIT, _matching_at_least
-from gallai_ramsey.targets import Embedding, embedding_from_json
+from gallai_ramsey.search import (
+    MATCHING_DP_LIMIT,
+    _matching_at_least,
+    exists_cycle_through,
+    exists_matching_with_edge,
+    exists_path_through,
+)
+from gallai_ramsey.targets import CYCLE, PATH, Embedding, embedding_from_json
 
 
 def mono(n, k=1, color=1):
@@ -109,6 +115,36 @@ def test_oracle_agreement_random_colorings():
             if got is not None:
                 assert verify_embedding(c, got)
                 assert got.vertices == want  # both are lex-least
+
+
+def test_through_edge_checks_match_oracle():
+    rng = random.Random(29)
+    targets = (
+        [path(m) for m in range(2, 9)]
+        + [even_cycle(l) for l in (4, 6, 8)]
+        + [matching(s) for s in range(1, 5)]
+    )
+    for trial in range(40):
+        n = rng.randint(2, 8)
+        density = rng.random()
+        adj = [0] * n
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < density:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1]
+        for t in targets:
+            for a, b in edges:
+                want = brute_exists_through(adj, a, b, t)
+                for u, v in ((a, b), (b, a)):
+                    if t.kind == PATH:
+                        got = exists_path_through(adj, u, v, t.size)
+                    elif t.kind == CYCLE:
+                        got = exists_cycle_through(adj, u, v, t.size)
+                    else:
+                        got = exists_matching_with_edge(adj, u, v, t.size, n)
+                    assert got == want, (trial, adj, t.name, u, v)
 
 
 def test_path_monotonicity():
