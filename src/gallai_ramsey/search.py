@@ -6,8 +6,9 @@ and cycle search, both the whole-class searches behind `find_mono` and the
 verifier's through-edge checks, is a thin caller of one DFS core,
 `_extend`, which grows a simple path vertex by vertex in increasing vertex
 order, so the first hit is the lexicographically least embedding and
-certificates are reproducible. Two devices keep the DFS small without
-losing completeness:
+certificates are reproducible. Four devices keep the DFS small; each
+only drops candidates or states that cannot lead to a hit, and the
+order of the rest is unchanged, so the first hit stays the lex-least one:
 
 * after a candidate extension fails, later candidates with the same
   class neighborhood are skipped. Swapping two such twins is an
@@ -17,6 +18,20 @@ losing completeness:
   states. The through-edge checks run without this memo: the verifier's
   hosts have at most N <= ~10 vertices, and there the memo cost more time
   than it saved.
+* the final vertex is drawn from one mask of allowed ends (for a cycle,
+  the start's neighbors), so the last step is the lowest candidate in
+  that mask, with no recursion: a failed candidate lies outside the mask
+  and so does each of its twins, so the twin skip never passes over it.
+* a dead-end cut fails a state when no free vertex of the ends mask is
+  left, or when a bitmask walk from the last vertex through the free
+  vertices reaches none: no extension of such a state can close. For
+  paths every vertex is an end, and both tests reduce to "no candidate".
+
+`_matching_at_least`, the feasibility oracle of the lex-least matching
+search, first builds a greedy maximal matching; it is a lower bound on the
+matching number, so reaching the asked size answers yes, and the exact
+subset recursion or networkx blossom runs only when greedy falls short.
+The matching search keeps its candidate order, so only its oracle changes.
 """
 
 from __future__ import annotations
@@ -45,52 +60,77 @@ def _twin_skip(w_adj: int, bit: int, tried: list[tuple[int, int]]) -> bool:
     return False
 
 
+def _reaches(adj: list[int], reach: int, free: int, ends: int) -> bool:
+    """Does a walk from the vertex set `reach`, which holds no vertex of
+    `ends`, through the vertices in `free` meet a free vertex of `ends`?"""
+    frontier = reach if ends & free else 0
+    while frontier:
+        grow = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            grow |= adj[bit.bit_length() - 1]
+        frontier = grow & free & ~reach
+        if frontier & ends:
+            return True
+        reach |= frontier
+    return False
+
+
 def _extend(
     adj: list[int],
     last: int,
     mask: int,
     need: int,
     allowed: int = -1,
-    close: int = -1,
+    ends: int = -1,
     hop: int = -1,
     failed: Optional[set[tuple[int, int]]] = None,
 ) -> Optional[list[int]]:
     """Extend a simple path ending at `last` by `need` more vertices.
 
     New vertices come from `allowed` outside `mask` (the vertices already
-    used), and the final vertex must have a neighbor in `close`; the
-    default -1 leaves the end free, since every path vertex has one. When
-    `hop` is a vertex, the search may once, at any point, continue from
-    `hop` instead of the current end: that grows the second arm of a path
-    through an edge. Failed (last, mask) states are recorded in `failed`
-    when given; the key ignores `allowed`, `close` and `hop`, so a memo may
-    be shared only by calls that fix the first two and never hop. The
-    twin skip needs swapping two candidates to fix every input, so callers
-    keep `close` at -1 or inside `mask`, and `hop` inside `mask`.
+    used), and the final one must lie in `ends`; the default -1 leaves the
+    end free. When `hop` is a vertex, the search may once, at any point,
+    continue from `hop` instead of the current end: that grows the second
+    arm of a path through an edge. Failed (last, mask) states are recorded
+    in `failed` when given; the key ignores `allowed`, `ends` and `hop`, so
+    a memo may be shared only by calls that fix the first two and never
+    hop. The twin skip needs swapping two candidates to fix every input,
+    so callers keep `ends` at -1 or the neighborhood of a vertex in
+    `mask` (cut to `allowed`), and `hop` inside `mask`.
 
     Returns the added vertices in the order they were added, or None.
     """
     if hop >= 0:
-        found = _extend(adj, hop, mask, need, allowed, close, -1, failed)
+        found = _extend(adj, hop, mask, need, allowed, ends, -1, failed)
         if found is not None:
             return found
-    if need == 0:
-        return [] if adj[last] & close else None
+    cand = adj[last] & allowed & ~mask
+    if need <= 1:
+        if need == 0:
+            return []
+        # a failed candidate lies outside `ends` and so do its twins: the
+        # loop below would return the lowest candidate in `ends`
+        hit = cand & ends
+        return [(hit & -hit).bit_length() - 1] if hit else None
     if failed is not None and (last, mask) in failed:
         return None
-    tried: list[tuple[int, int]] = []
-    cand = adj[last] & allowed & ~mask
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        w = bit.bit_length() - 1
-        w_adj = adj[w]
-        if _twin_skip(w_adj, bit, tried):
-            continue
-        found = _extend(adj, w, mask | bit, need - 1, allowed, close, hop, failed)
-        if found is not None:
-            return [w, *found]
-        tried.append((w_adj, bit))
+    # dead-end cut: the final vertex must be a free vertex of `ends` that
+    # a walk from `last` through free vertices reaches
+    if cand & ends or _reaches(adj, cand, allowed & ~mask, ends):
+        tried: list[tuple[int, int]] = []
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            w = bit.bit_length() - 1
+            w_adj = adj[w]
+            if tried and _twin_skip(w_adj, bit, tried):
+                continue
+            found = _extend(adj, w, mask | bit, need - 1, allowed, ends, hop, failed)
+            if found is not None:
+                return [w, *found]
+            tried.append((w_adj, bit))
     if failed is not None:
         failed.add((last, mask))
     return None
@@ -126,13 +166,12 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
     for s in active:
         sbit = 1 << s
         above = -1 << (s + 1)
-        if (adj[s] & above).bit_count() < 2:
+        ends = adj[s] & above
+        if ends.bit_count() < 2:
             continue
         if _twin_skip(adj[s], sbit, tried_starts):
             continue
-        rest = _extend(
-            adj, s, sbit, length - 1, allowed=above, close=sbit, failed=set()
-        )
+        rest = _extend(adj, s, sbit, length - 1, above, ends, failed=set())
         if rest is not None:
             return [s, *rest]
         tried_starts.append((adj[s], sbit))
@@ -145,6 +184,18 @@ def _matching_at_least(adj: list[int], free: int, r: int, n: int) -> bool:
         return True
     if free.bit_count() < 2 * r:
         return False
+    # a greedy maximal matching is a lower bound on the matching number
+    left = free
+    got = 0
+    while left:
+        ubit = left & -left
+        left ^= ubit
+        nbrs = adj[ubit.bit_length() - 1] & left
+        if nbrs:
+            left ^= nbrs & -nbrs
+            got += 1
+            if got == r:
+                return True
     if n <= MATCHING_DP_LIMIT:
         memo: dict[tuple[int, int], bool] = {}
 
@@ -306,8 +357,7 @@ def exists_path_through(adj: list[int], u: int, v: int, m: int) -> bool:
 
 def exists_cycle_through(adj: list[int], u: int, v: int, length: int) -> bool:
     # a cycle through edge (u,v) is a u-to-v path on `length` vertices
-    vbit = 1 << v
-    return _extend(adj, u, (1 << u) | vbit, length - 2, close=vbit) is not None
+    return _extend(adj, u, (1 << u) | (1 << v), length - 2, ends=adj[v]) is not None
 
 
 def exists_matching_with_edge(

@@ -14,6 +14,7 @@ from gallai_ramsey import (
     parse_target,
     parse_target_list,
     path,
+    random_gallai,
     verify_embedding,
 )
 from gallai_ramsey.search import (
@@ -102,19 +103,46 @@ def test_oracle_agreement_random_colorings():
         + [even_cycle(l) for l in (4, 6, 8)]
         + [matching(s) for s in range(1, 5)]
     )
-    for trial in range(60):
+
+    def uniform():
         n = rng.randint(2, 8)
         k = rng.randint(1, 4)
         colors = [rng.randint(1, k) for _ in range(n * (n - 1) // 2)]
-        c = EdgeColoring(n, k, colors)
+        return EdgeColoring(n, k, colors)
+
+    def gallai():
+        # blocks, twins and cut vertices, which uniform colorings rarely have
+        return random_gallai(rng.randint(2, 9), rng.randint(2, 3), rng.randrange(2**32))
+
+    for make in [uniform] * 60 + [gallai] * 60:
+        c = make()
         for t in targets:
-            col = rng.randint(1, k)
+            col = rng.randint(1, c.k)
             got = find_mono(c, col, t)
             want = brute_find_sequence(c, col, t)
             assert (got is None) == (want is None)
             if got is not None:
                 assert verify_embedding(c, got)
                 assert got.vertices == want  # both are lex-least
+
+
+@pytest.mark.parametrize(
+    "host, want",
+    [
+        ((59, 3, 3391062619), (6, 33, 8, 10, 9, 12, 14, 34)),
+        ((129, 4, 1954268780), (0, 22, 24, 37, 25, 38, 26, 23)),
+        ((102, 3, 1741422554), (0, 60, 2, 3, 4, 5, 7, 101)),
+    ],
+)
+def test_c8_on_hosts_full_of_dead_ends(host, want):
+    # In these classes most simple paths on 7 vertices end where they
+    # cannot close a C8 (behind a cut vertex, or off the start's
+    # neighborhood); without the dead-end cut each search runs from
+    # about a second to over a minute.
+    c = random_gallai(*host)
+    got = find_mono(c, 1, even_cycle(8))
+    assert got is not None and got.vertices == want
+    assert verify_embedding(c, got)
 
 
 def test_through_edge_checks_match_oracle():
@@ -207,14 +235,19 @@ def test_matching_dp_agrees_with_blossom():
     import networkx as nx
 
     rng = random.Random(23)
-    for trial in range(30):
-        n = rng.randint(2, 12)
+    for trial in range(42):
+        # the last hosts are sparse and above the DP limit, where greedy
+        # often falls short and the blossom decides
+        if trial < 30:
+            n, density = rng.randint(2, 12), 0.3
+        else:
+            n, density = rng.randint(21, 26), 0.08
         adj = [0] * n
         g = nx.Graph()
         g.add_nodes_from(range(n))
         for u in range(n):
             for v in range(u + 1, n):
-                if rng.random() < 0.3:
+                if rng.random() < density:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
                     g.add_edge(u, v)
@@ -222,6 +255,24 @@ def test_matching_dp_agrees_with_blossom():
         full = (1 << n) - 1
         for r in range(0, n // 2 + 2):
             assert _matching_at_least(adj, full, r, n) == (r <= best)
+
+
+@pytest.mark.parametrize("n", [4, MATCHING_DP_LIMIT + 3])
+def test_matching_where_greedy_falls_short(n):
+    # greedy takes 0-2 and is stuck at one edge; 0-3 with 1-2 gives two.
+    # The padded host adds isolated vertices to reach the blossom path.
+    edges = [(0, 2), (1, 2), (0, 3)]
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    assert _matching_at_least(adj, full, 2, n)
+    assert not _matching_at_least(adj, full, 3, n)
+    assign = {(u, v): 2 for u in range(n) for v in range(u + 1, n)}
+    assign.update({e: 1 for e in edges})
+    c = new_coloring(n, 2, assign)
+    assert find_mono(c, 1, matching(2)).vertices == (0, 3, 1, 2)
 
 
 def test_matching_on_host_above_dp_limit():
