@@ -244,50 +244,54 @@ def read_coloring(text: str) -> EdgeColoring:
     lexicographic pair order, whitespace-separated with any line layout.
     Lines starting with '#' (and trailing '#' comments) are ignored.
     """
-    tokens: list[tuple[str, int, int]] = []
-    last_line = 1
-    for lineno, line in enumerate(text.splitlines(), 1):
-        last_line = lineno
-        body = line.split("#", 1)[0]
-        for m in _TOKEN.finditer(body):
-            tokens.append((m.group(), lineno, m.start() + 1))
-    stream = iter(tokens)
+    lines = text.splitlines()
+    bodies = [line.split("#", 1)[0] for line in lines]
+    tokens = " ".join(bodies).split()
+    last_line = max(len(lines), 1)
 
-    def take_int(what: str, minimum: int | None = None) -> int:
-        item = next(stream, None)
-        if item is None:
-            raise ParseError(f"missing {what}", last_line, 1)
-        tok, line, col = item
+    def error(message: str, index: int) -> ParseError:
+        # a token's line and column are worked out only for the error;
+        # an index past the last token points at the end of the text
+        for lineno, body in enumerate(bodies, 1):
+            for m in _TOKEN.finditer(body):
+                if index == 0:
+                    return ParseError(message, lineno, m.start() + 1)
+                index -= 1
+        return ParseError(message, last_line, 1)
+
+    def take_int(index: int, what: str, minimum: int) -> int:
+        if index >= len(tokens):
+            raise error(f"missing {what}", index)
         try:
-            value = int(tok)
+            value = int(tokens[index])
         except ValueError:
-            raise ParseError(f"expected integer for {what}, got {tok!r}", line, col)
-        if minimum is not None and value < minimum:
-            raise ParseError(f"{what} must be at least {minimum}, got {value}", line, col)
+            raise error(f"expected integer for {what}, got {tokens[index]!r}", index)
+        if value < minimum:
+            raise error(f"{what} must be at least {minimum}, got {value}", index)
         return value
 
-    n = take_int("vertex count n", 2)
-    k = take_int("palette size k", 1)
+    n = take_int(0, "vertex count n", 2)
+    k = take_int(1, "palette size k", 1)
     expected = n * (n - 1) // 2
-    colors = []
-    for _ in range(expected):
-        item = next(stream, None)
-        if item is None:
-            raise ParseError(
-                f"expected {expected} edge colors, found {len(colors)}", last_line, 1
-            )
-        tok, line, col = item
-        try:
-            value = int(tok)
-        except ValueError:
-            raise ParseError(f"expected integer edge color, got {tok!r}", line, col)
-        if not 1 <= value <= k:
-            raise ParseError(f"color {value} outside palette [1, {k}]", line, col)
-        colors.append(value)
-    extra = next(stream, None)
-    if extra is not None:
-        tok, line, col = extra
-        raise ParseError(f"unexpected trailing token {tok!r}", line, col)
+    body = tokens[2:2 + expected]
+    try:
+        colors = list(map(int, body))
+        ok = not colors or (min(colors) >= 1 and max(colors) <= k)
+    except ValueError:
+        ok = False
+    if not ok:
+        # report the first bad token, as a token-by-token read would
+        for index, tok in enumerate(body, 2):
+            try:
+                value = int(tok)
+            except ValueError:
+                raise error(f"expected integer edge color, got {tok!r}", index)
+            if not 1 <= value <= k:
+                raise error(f"color {value} outside palette [1, {k}]", index)
+    if len(body) < expected:
+        raise error(f"expected {expected} edge colors, found {len(body)}", len(tokens))
+    if len(tokens) > 2 + expected:
+        raise error(f"unexpected trailing token {tokens[2 + expected]!r}", 2 + expected)
     return EdgeColoring(n, k, colors)
 
 

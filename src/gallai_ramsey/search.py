@@ -178,6 +178,34 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
     return None
 
 
+def _matching_ge(adj: list[int], mask: int, need: int, failed: dict[int, int]) -> bool:
+    """Exact test for `need` >= 1 disjoint edges inside `mask`: each vertex
+    in turn is matched to each later neighbor, or left out for good.
+    `failed` maps a mask to the least need that failed on it; a larger
+    need fails there too."""
+    left = mask
+    if need == 1:
+        while left:
+            ubit = left & -left
+            left ^= ubit
+            if adj[ubit.bit_length() - 1] & left:
+                return True
+        return False
+    if failed.get(mask, need + 1) <= need:
+        return False
+    while left.bit_count() >= 2 * need:
+        ubit = left & -left
+        left ^= ubit
+        cand = adj[ubit.bit_length() - 1] & left
+        while cand:
+            wbit = cand & -cand
+            cand ^= wbit
+            if _matching_ge(adj, left ^ wbit, need - 1, failed):
+                return True
+    failed[mask] = need
+    return False
+
+
 def _matching_at_least(adj: list[int], free: int, r: int, n: int) -> bool:
     """Does the class restricted to `free` contain r disjoint edges?"""
     if r <= 0:
@@ -197,35 +225,7 @@ def _matching_at_least(adj: list[int], free: int, r: int, n: int) -> bool:
             if got == r:
                 return True
     if n <= MATCHING_DP_LIMIT:
-        memo: dict[tuple[int, int], bool] = {}
-
-        def ge(mask: int, need: int) -> bool:
-            if need == 0:
-                return True
-            if mask.bit_count() < 2 * need:
-                return False
-            key = (mask, need)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            ubit = mask & -mask
-            u = ubit.bit_length() - 1
-            rest = mask ^ ubit
-            result = False
-            cand = adj[u] & rest
-            while cand:
-                wbit = cand & -cand
-                cand ^= wbit
-                if ge(rest ^ wbit, need - 1):
-                    result = True
-                    break
-            if not result:
-                result = ge(rest, need)
-            memo[key] = result
-            return result
-
-        return ge(free, r)
-
+        return _matching_ge(adj, free, r, {})
     import networkx as nx
 
     g = nx.Graph()

@@ -4,7 +4,9 @@ upper bounds at desk scale.
 decide_upper enumerates k-colorings of K_N edge by edge (lexicographic
 pair order, colors ascending) and prunes:
 
-* assignments closing a rainbow triangle (the coloring must stay Gallai),
+* assignments closing a rainbow triangle (the coloring must stay Gallai);
+  one mask per edge holds the vertices joined to its ends in two
+  different colors, and a color is pruned unless it is one of the two,
 * assignments completing the new color's monochromatic target; the
   check is incremental, restricted to copies through the new edge,
 * color-symmetric branches: among colors with identical targets, color
@@ -78,6 +80,16 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _through_check(t: TargetGraph, n: int):
+    if t.num_vertices > n:
+        return None
+    if t.kind == PATH:
+        return lambda adj, u, v: exists_path_through(adj, u, v, t.size)
+    if t.kind == CYCLE:
+        return lambda adj, u, v: exists_cycle_through(adj, u, v, t.size)
+    return lambda adj, u, v: exists_matching_with_edge(adj, u, v, t.size, n)
+
+
 class _Search:
     def __init__(
         self,
@@ -111,59 +123,19 @@ class _Search:
             prev[col] = last_seen.get(t, 0)
             last_seen[t] = col
         self.prev_same_target = prev
-        self.checkable = [False] + [t.num_vertices <= n for t in self.targets]
+        # per color: the through-edge check, or None if the target exceeds K_n
+        self.checks = [None] + [_through_check(t, n) for t in self.targets]
         # the vertex rule compares edges (0,1) and (0,2) of the lex order
         self.vertex_rule_idx = 1 if (edge_order is None and n >= 3) else -1
 
-    def _do(self, idx: int, col: int) -> None:
-        u, v = self.edges[idx]
-        row = self.adj[col]
-        ubit = 1 << u
-        vbit = 1 << v
-        row[u] |= vbit
-        row[v] |= ubit
-        self.assigned_nb[u] |= vbit
-        self.assigned_nb[v] |= ubit
-        self.used[col] += 1
-        self.assignment[idx] = col
-
-    def _undo(self, idx: int, col: int) -> None:
-        u, v = self.edges[idx]
-        row = self.adj[col]
-        ubit = 1 << u
-        vbit = 1 << v
-        row[u] &= ~vbit
-        row[v] &= ~ubit
-        self.assigned_nb[u] &= ~vbit
-        self.assigned_nb[v] &= ~ubit
-        self.used[col] -= 1
-        self.assignment[idx] = 0
-
     def apply_prefix(self, prefix: Sequence[int]) -> None:
         for idx, col in enumerate(prefix):
-            self._do(idx, col)
-
-    def _rainbow(self, u: int, v: int, col: int) -> bool:
-        # w already joined to both u and v, both edges off-color `col`
-        # and differently colored, would close a rainbow triangle
-        adjc = self.adj[col]
-        common = (self.assigned_nb[u] & ~adjc[u]) & (self.assigned_nb[v] & ~adjc[v])
-        if not common:
-            return False
-        adj = self.adj
-        same = 0
-        for a in range(1, self.k + 1):
-            same |= adj[a][u] & adj[a][v]
-        return bool(common & ~same)
-
-    def _hits_target(self, col: int, u: int, v: int) -> bool:
-        t = self.targets[col - 1]
-        adj = self.adj[col]
-        if t.kind == PATH:
-            return exists_path_through(adj, u, v, t.size)
-        if t.kind == CYCLE:
-            return exists_cycle_through(adj, u, v, t.size)
-        return exists_matching_with_edge(adj, u, v, t.size, self.n)
+            u, v = self.edges[idx]
+            for a, b in ((u, v), (v, u)):
+                self.adj[col][a] |= 1 << b
+                self.assigned_nb[a] |= 1 << b
+            self.used[col] += 1
+            self.assignment[idx] = col
 
     def _snapshot(self) -> EdgeColoring:
         colors = [0] * self.m
@@ -178,32 +150,59 @@ class _Search:
                 return None
             return self._snapshot()
         u, v = self.edges[idx]
+        ubit = 1 << u
+        vbit = 1 << v
+        adj = self.adj
+        nb = self.assigned_nb
+        # w joined to u and v in two different colors closes a rainbow
+        # triangle unless the new edge takes one of those two colors
+        rainbow = 0
+        if self.k >= 3:
+            rainbow = nb[u] & nb[v]
+            for row in adj:
+                rainbow &= ~(row[u] & row[v])
+        nb[u] |= vbit
+        nb[v] |= ubit
         stats = self.stats
+        budget = self.budget
+        used = self.used
+        symmetry = self.symmetry
+        checks = self.checks
+        assignment = self.assignment
         for col in range(1, self.k + 1):
             stats.nodes += 1
-            if stats.nodes > self.budget:
+            if stats.nodes > budget:
                 raise _BudgetExhausted
-            if self.symmetry:
-                if self.used[col] == 0:
+            if symmetry:
+                if used[col] == 0:
                     p = self.prev_same_target[col]
-                    if p and self.used[p] == 0:
+                    if p and used[p] == 0:
                         stats.prunes_symmetry += 1
                         continue
-                if idx == self.vertex_rule_idx and col < self.assignment[0]:
+                if idx == self.vertex_rule_idx and col < assignment[0]:
                     stats.prunes_symmetry += 1
                     continue
-            if self.k >= 3 and self._rainbow(u, v, col):
+            row = adj[col]
+            if rainbow and rainbow & ~(row[u] | row[v]):
                 stats.prunes_rainbow += 1
                 continue
-            self._do(idx, col)
-            if self.checkable[col] and self._hits_target(col, u, v):
+            row[u] |= vbit
+            row[v] |= ubit
+            check = checks[col]
+            if check is not None and check(row, u, v):
                 stats.prunes_mono += 1
-                self._undo(idx, col)
-                continue
-            found = self._dfs(idx + 1)
-            if found is not None:
-                return found
-            self._undo(idx, col)
+            else:
+                used[col] += 1
+                assignment[idx] = col
+                found = self._dfs(idx + 1)
+                if found is not None:
+                    return found
+                used[col] -= 1
+            row[u] ^= vbit
+            row[v] ^= ubit
+        nb[u] ^= vbit
+        nb[v] ^= ubit
+        assignment[idx] = 0
         return None
 
 

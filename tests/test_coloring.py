@@ -163,6 +163,28 @@ def test_read_coloring_error_positions():
     assert err.value.line == 2 and err.value.column == 7
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("# c\n3 2\n1 1\n  # x\n 1 x\n", "unexpected trailing token 'x'", 5, 4),
+        ("3 2\n1 # 5 x\n1\n", "expected 3 edge colors, found 2", 3, 1),
+        ("", "missing vertex count n", 1, 1),
+        ("1 2", "vertex count n must be at least 2, got 1", 1, 1),
+        ("3 0 # k", "palette size k must be at least 1, got 0", 1, 3),
+        ("3 two\n1 1 1", "expected integer for palette size k, got 'two'", 1, 3),
+        ("3 2\n9 x 1", "color 9 outside palette [1, 2]", 2, 1),
+        ("3 2\n1\t1\n\n  x2 1", "expected integer edge color, got 'x2'", 4, 3),
+    ],
+)
+def test_read_coloring_error_messages_across_lines(text, message, line, column):
+    # positions count comment lines and blank lines; the first bad token
+    # in reading order is the one reported
+    with pytest.raises(ParseError) as err:
+        read_coloring(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_round_trip_coloring_to_text():
     for seed in range(5):
         c = random_gallai(10, 3, seed)

@@ -255,6 +255,25 @@ def test_matching_dp_agrees_with_blossom():
         full = (1 << n) - 1
         for r in range(0, n // 2 + 2):
             assert _matching_at_least(adj, full, r, n) == (r <= best)
+    # multi-hub hosts at the DP limit: every edge touches one of the hubs,
+    # so hubs + 1 disjoint edges never fit and the exact recursion has to
+    # rule out every choice; without its failure memo this runs for tens
+    # of seconds
+    n = MATCHING_DP_LIMIT
+    full = (1 << n) - 1
+    for hubs in range(4, 8):
+        adj = [0] * n
+        g = nx.Graph()
+        for h in range(hubs):
+            for w in range(n):
+                if w != h:
+                    adj[h] |= 1 << w
+                    adj[w] |= 1 << h
+                    g.add_edge(h, w)
+        best = len(nx.max_weight_matching(g, maxcardinality=True))
+        assert best == hubs
+        for r in (hubs, hubs + 1):
+            assert _matching_at_least(adj, full, r, n) == (r <= best)
 
 
 @pytest.mark.parametrize("n", [4, MATCHING_DP_LIMIT + 3])

@@ -58,13 +58,30 @@ def test_witness_passes_independent_checks():
 def test_matches_exhaustive_enumeration():
     rng = random.Random(5)
     names = ["P2", "P3", "P4", "P5", "C4", "C6", "M1", "M2", "M3"]
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for k in (1, 2, 3):
             for _ in range(6):
                 targets = parse_target_list([rng.choice(names) for _ in range(k)])
                 want = brute_decide_upper(n, targets)
                 assert kinds(n, targets) == want
                 assert kinds(n, targets, symmetry=False) == want
+
+
+@pytest.mark.parametrize(
+    "n, targets, budget, kind, counts",
+    [
+        (7, "C4,C4,C4", 10 ** 9, ALL_FORCED, (199_134, 84_366, 48_382, 9)),
+        (8, "P6,P6", 10 ** 9, ALL_FORCED, (32_022, 0, 16_011, 1)),
+        (10, "M3,M3,M3", 100_000, BUDGET, (100_001, 24_757, 41_895, 6)),
+    ],
+)
+def test_search_statistics_are_pinned(n, targets, budget, kind, counts):
+    # the exact tree size and prune counts of three benchmark cases; a
+    # change to the search loop that alters any of them changes the tree
+    verdict, stats = decide_upper(n, targets, budget)
+    assert verdict.kind == kind
+    got = (stats.nodes, stats.prunes_rainbow, stats.prunes_mono, stats.prunes_symmetry)
+    assert got == counts
 
 
 def test_budget_exhaustion_is_a_verdict():
