@@ -17,19 +17,25 @@ pair order, colors ascending) and prunes:
 Every leaf reached is therefore a bad coloring and is returned as a
 witness; an empty tree means every Gallai coloring is forced. The two
 symmetry rules never change the verdict, only the statistics, and can
-be switched off for testing. The search tree can be split at a fixed
-prefix depth into independent subtasks for parallel runs; aggregation
-takes the first witness in prefix order, so results stay deterministic.
+be switched off for testing.
+
+The budget bounds the node count in this sequential search order. A
+parallel run cuts the tree at SPLIT_DEPTH edges into subtasks and folds
+their results in prefix order, each counted at its sequential position,
+so the verdict and witness never depend on the thread count.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .coloring import EdgeColoring, RainbowWitness, is_gallai, pair_index
+from .coloring import EdgeColoring, RainbowWitness, is_gallai
 from .construction import build_lower_bound_coloring
 from .formulas import TargetSpec, predicted_gr
 from .search import (
@@ -41,7 +47,7 @@ from .search import (
 from .targets import CYCLE, PATH, Embedding, TargetGraph, parse_target_list
 
 DEFAULT_BUDGET = 10 ** 9
-DEFAULT_SPLIT_DEPTH = 6
+SPLIT_DEPTH = 6
 
 ALL_FORCED = "all_forced"
 BAD_COLORING = "bad_coloring"
@@ -91,22 +97,14 @@ def _through_check(t: TargetGraph, n: int):
 
 
 class _Search:
-    def __init__(
-        self,
-        n: int,
-        targets: Sequence[TargetGraph],
-        budget: int,
-        symmetry: bool,
-        edge_order: Optional[Sequence[tuple[int, int]]] = None,
-    ):
-        self.n = n
+    """The search tree below a prefix of the edge order. A leaf at depth
+    m is a full coloring that avoids every target: the witness."""
+
+    def __init__(self, n: int, targets: Sequence[TargetGraph], budget: int, symmetry: bool):
         self.k = len(targets)
-        self.targets = list(targets)
-        if edge_order is None:
-            self.edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        else:
-            self.edges = [tuple(e) for e in edge_order]
+        self.edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         self.m = len(self.edges)
+        self.leaf_depth = self.m
         self.budget = budget
         self.symmetry = symmetry
         self.adj = [[0] * n for _ in range(self.k + 1)]
@@ -114,19 +112,17 @@ class _Search:
         self.assignment = [0] * self.m
         self.used = [0] * (self.k + 1)
         self.stats = SearchStats()
-        self.stop_depth = self.m
-        self.collector = None
         # predecessor inside each group of identical targets
         prev: list[int] = [0] * (self.k + 1)
         last_seen: dict[TargetGraph, int] = {}
-        for col, t in enumerate(self.targets, 1):
+        for col, t in enumerate(targets, 1):
             prev[col] = last_seen.get(t, 0)
             last_seen[t] = col
         self.prev_same_target = prev
         # per color: the through-edge check, or None if the target exceeds K_n
-        self.checks = [None] + [_through_check(t, n) for t in self.targets]
+        self.checks = [None] + [_through_check(t, n) for t in targets]
         # the vertex rule compares edges (0,1) and (0,2) of the lex order
-        self.vertex_rule_idx = 1 if (edge_order is None and n >= 3) else -1
+        self.vertex_rule_idx = 1 if n >= 3 else -1
 
     def apply_prefix(self, prefix: Sequence[int]) -> None:
         for idx, col in enumerate(prefix):
@@ -137,18 +133,12 @@ class _Search:
             self.used[col] += 1
             self.assignment[idx] = col
 
-    def _snapshot(self) -> EdgeColoring:
-        colors = [0] * self.m
-        for i, (u, v) in enumerate(self.edges):
-            colors[pair_index(self.n, u, v)] = self.assignment[i]
-        return EdgeColoring(self.n, self.k, colors)
+    def _leaf(self) -> Optional[list[int]]:
+        return list(self.assignment)
 
-    def _dfs(self, idx: int) -> Optional[EdgeColoring]:
-        if idx == self.stop_depth:
-            if self.collector is not None:
-                self.collector(tuple(self.assignment[:idx]))
-                return None
-            return self._snapshot()
+    def _dfs(self, idx: int) -> Optional[list[int]]:
+        if idx == self.leaf_depth:
+            return self._leaf()
         u, v = self.edges[idx]
         ubit = 1 << u
         vbit = 1 << v
@@ -206,27 +196,88 @@ class _Search:
         return None
 
 
+class _PrefixSearch(_Search):
+    """The top SPLIT_DEPTH levels of the tree. Its leaf records the
+    prefix with a copy of the counters reached there, and the search
+    goes on."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.leaf_depth = SPLIT_DEPTH
+        self.prefixes: list[tuple[tuple[int, ...], SearchStats]] = []
+
+    def _leaf(self) -> None:
+        self.prefixes.append((tuple(self.assignment[:SPLIT_DEPTH]), replace(self.stats)))
+
+
 def _as_targets(spec_or_targets) -> list[TargetGraph]:
     if isinstance(spec_or_targets, TargetSpec):
         return spec_or_targets.targets()
     return parse_target_list(spec_or_targets)
 
 
-def _run_subtask(args) -> tuple[str, Optional[tuple[int, ...]], tuple[int, int, int, int]]:
-    n, target_names, prefix, budget, symmetry = args
-    targets = parse_target_list(target_names)
+def _solve(args) -> tuple[Optional[list[int]], SearchStats]:
+    """Search the subtree below `prefix` (the whole tree when empty)
+    within `budget` nodes: the witness colors, if any, and the counters,
+    which exceed the budget when it ran out. Sequential runs and pool
+    subtasks both run this."""
+    n, targets, prefix, budget, symmetry = args
     search = _Search(n, targets, budget, symmetry)
     search.apply_prefix(prefix)
     try:
-        witness = search._dfs(len(prefix))
+        return search._dfs(len(prefix)), search.stats
     except _BudgetExhausted:
-        s = search.stats
-        return BUDGET, None, (s.nodes, s.prunes_rainbow, s.prunes_mono, s.prunes_symmetry)
-    s = search.stats
-    stats = (s.nodes, s.prunes_rainbow, s.prunes_mono, s.prunes_symmetry)
-    if witness is None:
-        return ALL_FORCED, None, stats
-    return BAD_COLORING, witness.colors, stats
+        return None, search.stats
+
+
+def _add(total: SearchStats, part: SearchStats) -> None:
+    total.nodes += part.nodes
+    total.prunes_rainbow += part.prunes_rainbow
+    total.prunes_mono += part.prunes_mono
+    total.prunes_symmetry += part.prunes_symmetry
+
+
+def _exit_when_set(stop) -> None:
+    """Pool initializer: end this worker as soon as `stop` is set, so
+    that no subtask outlives the call that submitted it."""
+
+    def wait_then_exit() -> None:
+        stop.wait()
+        os._exit(0)
+
+    threading.Thread(target=wait_then_exit, daemon=True).start()
+
+
+def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[int]], SearchStats]:
+    """_solve on the whole tree, its subtrees below SPLIT_DEPTH run by
+    `threads` workers. Subtask j may use the nodes left when the
+    sequential order reaches prefix j; the fold stops at a witness or
+    once the sequential count exceeds the budget."""
+    top = _PrefixSearch(n, targets, budget, symmetry)
+    try:
+        top._dfs(0)
+    except _BudgetExhausted:
+        pass  # fold the prefixes reached; the count already exceeds the budget
+    colors, stats = None, SearchStats()
+    stop = multiprocessing.Event()
+    executor = ProcessPoolExecutor(threads, initializer=_exit_when_set, initargs=(stop,))
+    try:
+        futures = [
+            executor.submit(_solve, (n, targets, prefix, budget - before.nodes, symmetry))
+            for prefix, before in top.prefixes
+        ]
+        for (_, before), fut in zip(top.prefixes, futures):
+            colors, sub = fut.result()
+            _add(stats, sub)
+            if colors is not None or before.nodes + stats.nodes > budget:
+                _add(stats, before)
+                break
+        else:
+            _add(stats, top.stats)
+    finally:
+        stop.set()
+        executor.shutdown(wait=True, cancel_futures=True)
+    return colors, stats
 
 
 def decide_upper(
@@ -236,90 +287,35 @@ def decide_upper(
     *,
     symmetry: bool = True,
     threads: int = 1,
-    split_depth: int = DEFAULT_SPLIT_DEPTH,
-    edge_order: Optional[Sequence[tuple[int, int]]] = None,
 ) -> tuple[Verdict, SearchStats]:
     """Exhaustively decide whether every Gallai k-coloring of K_n
     contains some per-color target.
 
     Returns AllForced, or BadColoring with a concrete avoiding coloring,
     or BudgetExceeded once more than `budget` (edge, color) candidates
-    have been tried. With threads > 1 the tree is split at `split_depth`
-    edges into independent subtasks, each with an equal budget share.
+    have been tried in the sequential search order. With threads > 1
+    the tree is split into subtrees run by that many worker processes;
+    the verdict and witness are those of the sequential run, and so are
+    the counters unless the budget runs out.
     """
     targets = _as_targets(spec_or_targets)
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got n={n}")
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    if edge_order is not None:
-        if symmetry:
-            raise ValueError("a custom edge order requires symmetry=False")
-        expected = {(u, v) for u in range(n) for v in range(u + 1, n)}
-        if {tuple(sorted(e)) for e in edge_order} != expected or len(edge_order) != len(expected):
-            raise ValueError("edge_order must enumerate every pair exactly once")
+    if threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
 
     start = time.perf_counter()
-    m = n * (n - 1) // 2
-    if threads <= 1 or m <= split_depth or edge_order is not None:
-        search = _Search(n, targets, budget, symmetry, edge_order)
-        try:
-            witness = search._dfs(0)
-            verdict = (
-                Verdict(ALL_FORCED)
-                if witness is None
-                else Verdict(BAD_COLORING, witness=witness)
-            )
-        except _BudgetExhausted:
-            verdict = Verdict(BUDGET, nodes_explored=search.stats.nodes)
-        stats = search.stats
-        stats.elapsed = time.perf_counter() - start
-        return verdict, stats
-
-    # enumerate consistent prefixes, then farm the subtrees out
-    prefixes: list[tuple[int, ...]] = []
-    enumerator = _Search(n, targets, budget, symmetry)
-    enumerator.stop_depth = split_depth
-    enumerator.collector = prefixes.append
-    try:
-        enumerator._dfs(0)
-    except _BudgetExhausted:
-        stats = enumerator.stats
-        stats.elapsed = time.perf_counter() - start
-        return Verdict(BUDGET, nodes_explored=stats.nodes), stats
-    stats = enumerator.stats
-    if not prefixes:
-        stats.elapsed = time.perf_counter() - start
-        return Verdict(ALL_FORCED), stats
-
-    target_names = [t.name for t in targets]
-    per_budget = max(1, (budget - stats.nodes) // len(prefixes))
-    witness: Optional[EdgeColoring] = None
-    budget_hit = False
-    executor = ProcessPoolExecutor(max_workers=threads)
-    try:
-        futures = [
-            executor.submit(_run_subtask, (n, target_names, p, per_budget, symmetry))
-            for p in prefixes
-        ]
-        for fut in futures:
-            kind, colors, sub = fut.result()
-            stats.nodes += sub[0]
-            stats.prunes_rainbow += sub[1]
-            stats.prunes_mono += sub[2]
-            stats.prunes_symmetry += sub[3]
-            if kind == BAD_COLORING:
-                witness = EdgeColoring(n, len(targets), colors)
-                break
-            if kind == BUDGET:
-                budget_hit = True
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+    if threads == 1 or n * (n - 1) // 2 <= SPLIT_DEPTH:
+        colors, stats = _solve((n, targets, (), budget, symmetry))
+    else:
+        colors, stats = _solve_split(n, targets, budget, symmetry, threads)
     stats.elapsed = time.perf_counter() - start
-    if witness is not None:
-        return Verdict(BAD_COLORING, witness=witness), stats
-    if budget_hit:
+    if stats.nodes > budget:
         return Verdict(BUDGET, nodes_explored=stats.nodes), stats
+    if colors is not None:
+        return Verdict(BAD_COLORING, witness=EdgeColoring(n, len(targets), colors)), stats
     return Verdict(ALL_FORCED), stats
 
 

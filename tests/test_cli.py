@@ -153,6 +153,15 @@ def test_verify_upper_threads(capsys):
     assert json.loads(stdout)["verdict"] == "all_forced"
 
 
+def test_nonpositive_threads_exit_2(capsys):
+    for threads in ("0", "-3"):
+        code, _, err = run(
+            capsys, "verify-upper", "-N", "6", "--targets", "P5,P5", "--threads", threads
+        )
+        assert code == 2
+        assert "threads must be positive" in err
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gallai_ramsey", "formula", "--gr", "n=3 k=3 i=2,2,2"],

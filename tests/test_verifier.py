@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -106,30 +108,43 @@ def test_symmetry_off_same_verdict_more_nodes():
     assert s_on.prunes_symmetry > 0
 
 
-def test_custom_edge_order_same_verdict():
-    rng = random.Random(9)
-    for n, targets in [(4, "P4,P3"), (5, "P5,P3"), (5, "C4,C4")]:
-        base = kinds(n, targets)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for _ in range(3):
-            rng.shuffle(edges)
-            assert kinds(n, targets, symmetry=False, edge_order=list(edges)) == base
-
-
-def test_custom_edge_order_requires_symmetry_off():
-    edges = [(0, 1), (0, 2), (1, 2)]
-    with pytest.raises(ValueError):
-        decide_upper(3, "P3,P3", edge_order=edges)
-    with pytest.raises(ValueError):
-        decide_upper(3, "P3,P3", symmetry=False, edge_order=edges[:-1])
+def counts(stats):
+    return (stats.nodes, stats.prunes_rainbow, stats.prunes_mono, stats.prunes_symmetry)
 
 
 def test_parallel_matches_sequential():
-    for n, targets in [(6, "P5,P5"), (5, "P5,P5"), (6, "C6,P3")]:
-        v_seq, _ = decide_upper(n, targets)
-        v_par, _ = decide_upper(n, targets, threads=2, split_depth=4)
-        assert v_par.kind == v_seq.kind
-        assert v_par.witness == v_seq.witness
+    # the budget counts nodes in the sequential order, so at budgets
+    # around the sequential node count s the split run stops where the
+    # sequential one does (P6,P6@8: all_forced at s = 32,022; P7,P5@7:
+    # bad_coloring at s = 1,053)
+    for n, targets in [(6, "P5,P5"), (5, "P5,P5"), (6, "C6,P3"), (8, "P6,P6"), (7, "P7,P5")]:
+        s = decide_upper(n, targets)[1].nodes
+        for budget in (s - 1, s, s + 1):
+            v_seq, s_seq = decide_upper(n, targets, budget)
+            v_par, s_par = decide_upper(n, targets, budget, threads=2)
+            assert v_par.kind == v_seq.kind, (targets, budget)
+            assert v_par.witness == v_seq.witness
+            assert (v_seq.kind == BUDGET) == (budget < s)
+            if v_seq.kind != BUDGET:
+                assert counts(s_par) == counts(s_seq)
+
+
+def test_early_return_stops_workers():
+    # a budget stop part-way through the split run; the subtasks still
+    # running or queued would take seconds more if left alone
+    code = (
+        "import multiprocessing, time\n"
+        "from gallai_ramsey import decide_upper\n"
+        "verdict, _ = decide_upper(9, 'P7,P7', 100_000, threads=2)\n"
+        "deadline = time.monotonic() + 1.0\n"
+        "while multiprocessing.active_children() and time.monotonic() < deadline:\n"
+        "    time.sleep(0.01)\n"
+        "print(verdict.kind, len(multiprocessing.active_children()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [BUDGET, "0"]
+    assert proc.stderr == ""
 
 
 def test_target_larger_than_host_is_unconstrained():
