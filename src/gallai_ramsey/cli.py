@@ -15,6 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from .coloring import ParseError, random_gallai, read_coloring, write_coloring
+from .construction import build_lower_bound_coloring
 from .formulas import (
     InvalidSpecError,
     OutOfHypothesesError,
@@ -139,17 +140,20 @@ def _write_coloring_output(coloring, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_construct(args) -> int:
-    spec = parse_spec_string(args.spec)
-    coloring = verify_lower(spec).witness
+def _emit_coloring(args, coloring) -> None:
+    """--json prints the coloring as JSON; its text goes to the -o file,
+    or to stdout without --json."""
     if args.json:
         print(json.dumps({"n": coloring.n, "k": coloring.k, "colors": list(coloring.colors)}))
-        if args.output:
-            _write_coloring_output(coloring, args.output)
-    else:
+    if args.output or not args.json:
         _write_coloring_output(coloring, args.output)
-        if args.output:
-            print(f"wrote {coloring.n}-vertex coloring to {args.output}")
+
+
+def _cmd_construct(args) -> int:
+    coloring = build_lower_bound_coloring(parse_spec_string(args.spec))
+    _emit_coloring(args, coloring)
+    if args.output and not args.json:
+        print(f"wrote {coloring.n}-vertex coloring to {args.output}")
     return EXIT_OK
 
 
@@ -293,13 +297,7 @@ def _cmd_compute_gr(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    coloring = random_gallai(args.n, args.k, args.seed)
-    if args.json:
-        print(json.dumps({"n": coloring.n, "k": coloring.k, "colors": list(coloring.colors)}))
-        if args.output:
-            _write_coloring_output(coloring, args.output)
-    else:
-        _write_coloring_output(coloring, args.output)
+    _emit_coloring(args, random_gallai(args.n, args.k, args.seed))
     return EXIT_OK
 
 

@@ -28,10 +28,7 @@ so the verdict and witness never depend on the thread count.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -237,46 +234,32 @@ def _add(total: SearchStats, part: SearchStats) -> None:
     total.prunes_symmetry += part.prunes_symmetry
 
 
-def _exit_when_set(stop) -> None:
-    """Pool initializer: end this worker as soon as `stop` is set, so
-    that no subtask outlives the call that submitted it."""
-
-    def wait_then_exit() -> None:
-        stop.wait()
-        os._exit(0)
-
-    threading.Thread(target=wait_then_exit, daemon=True).start()
-
-
 def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[int]], SearchStats]:
     """_solve on the whole tree, its subtrees below SPLIT_DEPTH run by
-    `threads` workers. Subtask j may use the nodes left when the
-    sequential order reaches prefix j; the fold stops at a witness or
-    once the sequential count exceeds the budget."""
+    at most `threads` worker processes. Subtask j may use the nodes left
+    when the sequential order reaches prefix j; the fold stops at a
+    witness or once the sequential count exceeds the budget. Leaving the
+    pool's block terminates and joins the workers, so none outlives the
+    call."""
     top = _PrefixSearch(n, targets, budget, symmetry)
     try:
         top._dfs(0)
     except _BudgetExhausted:
         pass  # fold the prefixes reached; the count already exceeds the budget
-    colors, stats = None, SearchStats()
-    stop = multiprocessing.Event()
-    executor = ProcessPoolExecutor(threads, initializer=_exit_when_set, initargs=(stop,))
-    try:
-        futures = [
-            executor.submit(_solve, (n, targets, prefix, budget - before.nodes, symmetry))
-            for prefix, before in top.prefixes
-        ]
-        for (_, before), fut in zip(top.prefixes, futures):
-            colors, sub = fut.result()
+    if not top.prefixes:
+        return None, top.stats
+    stats = SearchStats()
+    tasks = (
+        (n, targets, prefix, budget - before.nodes, symmetry) for prefix, before in top.prefixes
+    )
+    with multiprocessing.Pool(min(threads, len(top.prefixes))) as pool:
+        for (_, before), (colors, sub) in zip(top.prefixes, pool.imap(_solve, tasks)):
             _add(stats, sub)
             if colors is not None or before.nodes + stats.nodes > budget:
                 _add(stats, before)
                 break
         else:
             _add(stats, top.stats)
-    finally:
-        stop.set()
-        executor.shutdown(wait=True, cancel_futures=True)
     return colors, stats
 
 
@@ -294,9 +277,9 @@ def decide_upper(
     Returns AllForced, or BadColoring with a concrete avoiding coloring,
     or BudgetExceeded once more than `budget` (edge, color) candidates
     have been tried in the sequential search order. With threads > 1
-    the tree is split into subtrees run by that many worker processes;
-    the verdict and witness are those of the sequential run, and so are
-    the counters unless the budget runs out.
+    the tree is split into subtrees run by at most that many worker
+    processes; the verdict and witness are those of the sequential run,
+    and so are the counters unless the budget runs out.
     """
     targets = _as_targets(spec_or_targets)
     if n < 2:

@@ -33,6 +33,17 @@ def test_construct_check_pipeline(tmp_path, capsys):
     assert stdout.strip() == "none"
 
 
+def test_construct_json_matches_written_file(tmp_path, capsys):
+    out = tmp_path / "w.col"
+    code, stdout, _ = run(
+        capsys, "construct", "--spec", "n=3 k=3 head=cycle i=2,2,2", "--json", "-o", str(out)
+    )
+    assert code == 0
+    data = json.loads(stdout)
+    coloring = read_coloring(out.read_text())
+    assert data == {"n": coloring.n, "k": coloring.k, "colors": list(coloring.colors)}
+
+
 def test_check_finds_target(tmp_path, capsys):
     f = tmp_path / "mono.col"
     f.write_text("6 2\n" + " ".join(["1"] * 15) + "\n")

@@ -9,6 +9,7 @@ from gallai_ramsey import (
     ALL_FORCED,
     BAD_COLORING,
     BUDGET,
+    DEFAULT_BUDGET,
     contains_required,
     compute_gr,
     decide_upper,
@@ -116,8 +117,10 @@ def test_parallel_matches_sequential():
     # the budget counts nodes in the sequential order, so at budgets
     # around the sequential node count s the split run stops where the
     # sequential one does (P6,P6@8: all_forced at s = 32,022; P7,P5@7:
-    # bad_coloring at s = 1,053)
-    for n, targets in [(6, "P5,P5"), (5, "P5,P5"), (6, "C6,P3"), (8, "P6,P6"), (7, "P7,P5")]:
+    # bad_coloring at s = 1,053); P3,P3,P3@5 dies above SPLIT_DEPTH, so
+    # the split run has no prefix to hand out
+    cases = [(6, "P5,P5"), (5, "P5,P5"), (6, "C6,P3"), (8, "P6,P6"), (7, "P7,P5"), (5, "P3,P3,P3")]
+    for n, targets in cases:
         s = decide_upper(n, targets)[1].nodes
         for budget in (s - 1, s, s + 1):
             v_seq, s_seq = decide_upper(n, targets, budget)
@@ -129,13 +132,19 @@ def test_parallel_matches_sequential():
                 assert counts(s_par) == counts(s_seq)
 
 
-def test_early_return_stops_workers():
-    # a budget stop part-way through the split run; the subtasks still
-    # running or queued would take seconds more if left alone
+@pytest.mark.parametrize(
+    "n, budget, kind",
+    [(9, 100_000, BUDGET), (8, DEFAULT_BUDGET, BAD_COLORING)],
+    ids=[BUDGET, BAD_COLORING],
+)
+def test_early_return_stops_workers(n, budget, kind):
+    # a stop part-way through the split run: at the budget (P7,P7@9) or
+    # at a witness from prefix 0 of 32 (P7,P7@8); no worker may outlive
+    # the call, whether busy with a later subtask or idle
     code = (
         "import multiprocessing, time\n"
         "from gallai_ramsey import decide_upper\n"
-        "verdict, _ = decide_upper(9, 'P7,P7', 100_000, threads=2)\n"
+        f"verdict, _ = decide_upper({n}, 'P7,P7', {budget}, threads=2)\n"
         "deadline = time.monotonic() + 1.0\n"
         "while multiprocessing.active_children() and time.monotonic() < deadline:\n"
         "    time.sleep(0.01)\n"
@@ -143,7 +152,7 @@ def test_early_return_stops_workers():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [BUDGET, "0"]
+    assert proc.stdout.split() == [kind, "0"]
     assert proc.stderr == ""
 
 
