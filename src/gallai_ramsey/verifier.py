@@ -8,7 +8,12 @@ pair order, colors ascending) and prunes:
   one mask per edge holds the vertices joined to its ends in two
   different colors, and a color is pruned unless it is one of the two,
 * assignments completing the new color's monochromatic target; the
-  check is incremental, restricted to copies through the new edge,
+  check is incremental, restricted to copies through the new edge.
+  With three or more colors its result is memoized per target, keyed by
+  the new color's class as a bitmask over edge indices with the new
+  edge added, since that class recurs while the other colors vary;
+  with two colors the class at an edge fixes every earlier edge, so a
+  key never recurs and the check runs bare,
 * color-symmetric branches: among colors with identical targets, color
   j+1 may first appear only after color j,
 * vertex-symmetric branches: the colors on edges (0,1) and (0,2) must
@@ -45,6 +50,9 @@ from .targets import CYCLE, PATH, Embedding, TargetGraph, parse_target_list
 
 DEFAULT_BUDGET = 10 ** 9
 SPLIT_DEPTH = 6
+# a through-edge memo is cleared when it holds this many results; kept
+# whole, M3,M3,M3@10 stores 35.6k of them and peak memory grows by a fifth
+MEMO_SIZE = 4096
 
 ALL_FORCED = "all_forced"
 BAD_COLORING = "bad_coloring"
@@ -93,6 +101,23 @@ def _through_check(t: TargetGraph, n: int):
     return lambda adj, u, v: exists_matching_with_edge(adj, u, v, t.size, n)
 
 
+def _memoized(check, memo: dict[int, bool], cls: list[int], col: int, bits: list[list[int]]):
+    """`check` for color `col`, its results kept in `memo` under the
+    class mask of `col` with the new edge's bit added: the mask fixes
+    the class graph, and its highest bit the edge."""
+
+    def memo_check(row, u, v):
+        key = cls[col] | bits[u][v]
+        hit = memo.get(key)
+        if hit is None:
+            if len(memo) >= MEMO_SIZE:
+                memo.clear()
+            hit = memo[key] = check(row, u, v)
+        return hit
+
+    return memo_check
+
+
 class _Search:
     """The search tree below a prefix of the edge order. A leaf at depth
     m is a full coloring that avoids every target: the witness."""
@@ -107,7 +132,8 @@ class _Search:
         self.adj = [[0] * n for _ in range(self.k + 1)]
         self.assigned_nb = [0] * n
         self.assignment = [0] * self.m
-        self.used = [0] * (self.k + 1)
+        # per color: its class as a bitmask over edge indices
+        self.cls = [0] * (self.k + 1)
         self.stats = SearchStats()
         # predecessor inside each group of identical targets
         prev: list[int] = [0] * (self.k + 1)
@@ -118,6 +144,17 @@ class _Search:
         self.prev_same_target = prev
         # per color: the through-edge check, or None if the target exceeds K_n
         self.checks = [None] + [_through_check(t, n) for t in targets]
+        # memoized from three colors on (a two-color key never recurs);
+        # colors with equal targets share one memo
+        self.memos: dict[TargetGraph, dict[int, bool]] = {}
+        if self.k >= 3:
+            bits = [[0] * n for _ in range(n)]
+            for idx, (u, v) in enumerate(self.edges):
+                bits[u][v] = 1 << idx
+            for col, t in enumerate(targets, 1):
+                if self.checks[col] is not None:
+                    memo = self.memos.setdefault(t, {})
+                    self.checks[col] = _memoized(self.checks[col], memo, self.cls, col, bits)
         # the vertex rule compares edges (0,1) and (0,2) of the lex order
         self.vertex_rule_idx = 1 if n >= 3 else -1
 
@@ -127,7 +164,7 @@ class _Search:
             for a, b in ((u, v), (v, u)):
                 self.adj[col][a] |= 1 << b
                 self.assigned_nb[a] |= 1 << b
-            self.used[col] += 1
+            self.cls[col] |= 1 << idx
             self.assignment[idx] = col
 
     def _leaf(self) -> Optional[list[int]]:
@@ -139,6 +176,7 @@ class _Search:
         u, v = self.edges[idx]
         ubit = 1 << u
         vbit = 1 << v
+        ebit = 1 << idx
         adj = self.adj
         nb = self.assigned_nb
         # w joined to u and v in two different colors closes a rainbow
@@ -152,7 +190,7 @@ class _Search:
         nb[v] |= ubit
         stats = self.stats
         budget = self.budget
-        used = self.used
+        cls = self.cls
         symmetry = self.symmetry
         checks = self.checks
         assignment = self.assignment
@@ -161,9 +199,9 @@ class _Search:
             if stats.nodes > budget:
                 raise _BudgetExhausted
             if symmetry:
-                if used[col] == 0:
+                if not cls[col]:
                     p = self.prev_same_target[col]
-                    if p and used[p] == 0:
+                    if p and not cls[p]:
                         stats.prunes_symmetry += 1
                         continue
                 if idx == self.vertex_rule_idx and col < assignment[0]:
@@ -179,12 +217,12 @@ class _Search:
             if check is not None and check(row, u, v):
                 stats.prunes_mono += 1
             else:
-                used[col] += 1
+                cls[col] |= ebit
                 assignment[idx] = col
                 found = self._dfs(idx + 1)
                 if found is not None:
                     return found
-                used[col] -= 1
+                cls[col] ^= ebit
             row[u] ^= vbit
             row[v] ^= ubit
         nb[u] ^= vbit

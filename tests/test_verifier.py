@@ -19,6 +19,8 @@ from gallai_ramsey import (
     sorted_spec,
     verify_lower,
 )
+from gallai_ramsey.search import exists_cycle_through
+from gallai_ramsey.verifier import MEMO_SIZE, _Search
 
 
 def kinds(n, targets, **kw):
@@ -68,6 +70,19 @@ def test_matches_exhaustive_enumeration():
                 want = brute_decide_upper(n, targets)
                 assert kinds(n, targets) == want
                 assert kinds(n, targets, symmetry=False) == want
+    # four colors take the memoized through-edge checks; the brute force
+    # enumerates up to 4^6 colorings of K_4. Small targets, since with
+    # the names above nearly every four-color list has a bad coloring.
+    small = ["P2", "P3", "P4", "M1", "M2"]
+    verdicts = set()
+    for n in (2, 3, 4):
+        for _ in range(8):
+            targets = parse_target_list([rng.choice(small) for _ in range(4)])
+            want = brute_decide_upper(n, targets)
+            assert kinds(n, targets) == want
+            assert kinds(n, targets, symmetry=False) == want
+            verdicts.add(want)
+    assert verdicts == {ALL_FORCED, BAD_COLORING}
 
 
 @pytest.mark.parametrize(
@@ -76,15 +91,40 @@ def test_matches_exhaustive_enumeration():
         (7, "C4,C4,C4", 10 ** 9, ALL_FORCED, (199_134, 84_366, 48_382, 9)),
         (8, "P6,P6", 10 ** 9, ALL_FORCED, (32_022, 0, 16_011, 1)),
         (10, "M3,M3,M3", 100_000, BUDGET, (100_001, 24_757, 41_895, 6)),
+        (7, "P5,P5,P5,P3", DEFAULT_BUDGET, ALL_FORCED, (229_940, 117_685, 54_724, 47)),
+        (7, "C4,C4,C4,C4", DEFAULT_BUDGET, BAD_COLORING, (6_791, 3_329, 1_714, 42)),
     ],
 )
 def test_search_statistics_are_pinned(n, targets, budget, kind, counts):
-    # the exact tree size and prune counts of three benchmark cases; a
+    # the exact tree size and prune counts of five benchmark cases; a
     # change to the search loop that alters any of them changes the tree
     verdict, stats = decide_upper(n, targets, budget)
     assert verdict.kind == kind
     got = (stats.nodes, stats.prunes_rainbow, stats.prunes_mono, stats.prunes_symmetry)
     assert got == counts
+
+
+@pytest.mark.parametrize("prefix", [(), (1, 2, 3, 1, 2, 3)], ids=["whole", "subtask"])
+def test_memo_entries_match_direct_checks(prefix):
+    # the whole tree of C4,C4,C4@7 meets 24.8k distinct keys, so its
+    # memo is cleared on the way; every entry left must decode, by its
+    # bits, to the class graph and the new edge whose check it stores.
+    # The subtask's prefix colors the edges (0,1)...(0,6), which its
+    # keys must hold too.
+    n = 7
+    search = _Search(n, parse_target_list("C4,C4,C4"), DEFAULT_BUDGET, True)
+    search.apply_prefix(prefix)
+    assert search._dfs(len(prefix)) is None
+    (memo,) = search.memos.values()
+    assert 0 < len(memo) < MEMO_SIZE
+    for key, hit in memo.items():
+        rows = [0] * n
+        for idx, (a, b) in enumerate(search.edges):
+            if key >> idx & 1:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+        u, v = search.edges[key.bit_length() - 1]
+        assert exists_cycle_through(rows, u, v, 4) == hit, (key, u, v)
 
 
 def test_budget_exhaustion_is_a_verdict():
@@ -140,7 +180,9 @@ def test_parallel_matches_sequential():
 def test_early_return_stops_workers(n, budget, kind):
     # a stop part-way through the split run: at the budget (P7,P7@9) or
     # at a witness from prefix 0 of 32 (P7,P7@8); no worker may outlive
-    # the call, whether busy with a later subtask or idle
+    # the call, whether busy with a later subtask or idle. A pool that is
+    # never terminated warns "unclosed running multiprocessing pool" on
+    # stderr when it is collected, even after its workers went idle.
     code = (
         "import multiprocessing, time\n"
         "from gallai_ramsey import decide_upper\n"
@@ -150,7 +192,12 @@ def test_early_return_stops_workers(n, budget, kind):
         "    time.sleep(0.01)\n"
         "print(verdict.kind, len(multiprocessing.active_children()))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::ResourceWarning", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [kind, "0"]
     assert proc.stderr == ""
