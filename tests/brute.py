@@ -5,7 +5,7 @@ sequences and full enumeration of colorings, with none of the library's
 bitmask, memoization or twin-skipping machinery.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 from gallai_ramsey import EdgeColoring, contains_required, is_gallai
 from gallai_ramsey.targets import CYCLE, MATCHING, PATH, TargetGraph
@@ -94,3 +94,47 @@ def brute_decide_upper(n: int, targets) -> str:
         if contains_required(c, targets) is None:
             return "bad_coloring"
     return "all_forced"
+
+
+def brute_gallai_partition(c: EdgeColoring):
+    """(parts, between_colors, pair_color) of the library's Gallai
+    partition, or None: between-sets in lex order, each starting from the
+    components of the other colors and merging two parts while their
+    cross edges show two colors; the first with two or more parts wins."""
+    n = c.n
+    used = c.used_colors()
+    for between in sorted([(a,) for a in used] + list(combinations(used, 2))):
+        label = list(range(n))
+
+        def join(x: int, y: int) -> None:
+            old = label[y]
+            for w in range(n):
+                if label[w] == old:
+                    label[w] = label[x]
+
+        for u, v in combinations(range(n), 2):
+            if c.color(u, v) not in between and label[u] != label[v]:
+                join(u, v)
+        while True:
+            groups = sorted(
+                [w for w in range(n) if label[w] == l] for l in set(label)
+            )
+            clash = next(
+                (
+                    (p[0], q[0])
+                    for p, q in combinations(groups, 2)
+                    if len({c.color(u, v) for u in p for v in q}) >= 2
+                ),
+                None,
+            )
+            if clash is None:
+                break
+            join(*clash)
+        if len(groups) >= 2:
+            pair_color = {
+                (i, j): c.color(groups[i][0], groups[j][0])
+                for i, j in combinations(range(len(groups)), 2)
+            }
+            parts = tuple(tuple(g) for g in groups)
+            return parts, tuple(sorted(set(pair_color.values()))), pair_color
+    return None

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brute import brute_gallai_partition
 from gallai_ramsey import (
     EdgeColoring,
     GallaiPartition,
@@ -186,6 +187,34 @@ def test_partition_properties_random_sample():
         assert isinstance(confirmed, GallaiPartition)
         assert len(p.between_colors) <= 2
         assert quotient_round_trip(c, p) == c
+
+
+def test_partition_matches_brute_force_oracle():
+    # validity alone would pass a coarser partition; this pins which
+    # partition comes back on Gallai, near-Gallai and arbitrary inputs
+    rng = random.Random(47)
+    hosts = []
+    for _ in range(60):
+        n, k = rng.randint(2, 10), rng.randint(1, 5)
+        hosts.append(EdgeColoring(n, k, [rng.randint(1, k) for _ in range(n * (n - 1) // 2)]))
+    # recolored edges make most of these non-Gallai; on them, unlike on
+    # Gallai hosts, parts of the first components can need merging
+    for _ in range(150):
+        n, k = rng.randint(3, 40), rng.randint(2, 5)
+        colors = list(random_gallai(n, k, rng.randrange(2 ** 32)).colors)
+        for _ in range(rng.randint(1, 3)):
+            colors[rng.randrange(len(colors))] = rng.randint(1, k)
+        hosts.append(EdgeColoring(n, k, colors))
+    for _ in range(30):
+        n, k = rng.randint(2, 40), rng.randint(1, 6)
+        hosts.append(random_gallai(n, k, rng.randrange(2 ** 32)))
+    outcomes = set()
+    for c in hosts:
+        p = gallai_partition(c)
+        got = None if p is None else (p.parts, p.between_colors, p.pair_color)
+        assert got == brute_gallai_partition(c)
+        outcomes.add(p is None)
+    assert outcomes == {True, False}
 
 
 def test_partition_deterministic():
