@@ -14,19 +14,17 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .coloring import ParseError, random_gallai, read_coloring, write_coloring
+from .coloring import random_gallai, read_coloring, write_coloring
 from .construction import build_lower_bound_coloring
 from .formulas import (
     InvalidSpecError,
-    OutOfHypothesesError,
-    UnsupportedPairError,
     classical_ramsey,
     known_gr,
     parse_spec_string,
     predicted_gr,
 )
 from .partition import gallai_partition
-from .search import SpecLengthMismatchError, contains_required
+from .search import contains_required
 from .verifier import (
     ALL_FORCED,
     BAD_COLORING,
@@ -45,15 +43,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_USAGE_ERRORS = (
-    InvalidSpecError,
-    OutOfHypothesesError,
-    UnsupportedPairError,
-    SpecLengthMismatchError,
-    ParseError,
-    ValueError,
-    OSError,
-)
+# every input error the library raises subclasses ValueError
+_USAGE_ERRORS = (ValueError, OSError)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -91,12 +91,6 @@ class EdgeColoring:
             raise ValueError(f"vertex pair ({u}, {v}) outside [0, {self.n})")
         return self.colors[pair_index(self.n, u, v)]
 
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (u, v, color) in lexicographic pair order."""
-        it = iter(self.colors)
-        for u, v in all_pairs(self.n):
-            yield u, v, next(it)
-
     def used_colors(self) -> list[int]:
         return sorted(set(self.colors))
 

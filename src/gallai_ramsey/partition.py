@@ -8,6 +8,10 @@ non-constructive; the algorithm here searches candidate between-color
 sets: edges colored outside the candidate set are forced inside parts,
 and non-monochromatic part pairs are forced to merge, so a fixpoint of
 component-merging finds a partition whenever one exists for that set.
+The order of the merges does not matter: two parts joined in two colors
+lie inside one part of every valid partition that coarsens them both, so
+each merge is forced and the fixpoint is the unique finest valid
+coarsening of the first components, its parts ordered by least vertex.
 """
 
 from __future__ import annotations
@@ -91,59 +95,43 @@ def _bits(mask: int):
         yield bit.bit_length() - 1
 
 
-def _colors_between(adj, colors: Iterable[int], a_mask: int, b_mask: int) -> set[int]:
-    found = set()
-    for col in colors:
-        for v in _bits(a_mask):
-            if adj[col][v] & b_mask:
-                found.add(col)
-                break
-    return found
-
-
 def _try_between_set(c: EdgeColoring, between: tuple[int, ...]) -> Optional[list[int]]:
-    """Partition with between-part colors inside `between`, or None."""
+    """Partition with between-part colors inside `between`, or None.
+
+    Parts start as the components of the other colors. Each round links
+    every pair of parts joined in both between colors and recomputes the
+    components, until a round links nothing.
+    """
     n = c.n
     adj = c.color_adjacency()
-    inside_colors = [a for a in range(1, c.k + 1) if a not in between]
     h = [0] * n
-    for a in inside_colors:
-        rows = adj[a]
-        for v in range(n):
-            h[v] |= rows[v]
-    parts = _components(h, n)
-    if len(parts) < 2:
-        return None
-
-    # Every cross-part edge is colored inside `between` by construction.
-    active = list(range(len(parts)))
-    pair_colors: dict[tuple[int, int], set[int]] = {}
-    for ai, bi in combinations(active, 2):
-        pair_colors[(ai, bi)] = _colors_between(adj, between, parts[ai], parts[bi])
-
-    # Merge the smallest-index non-monochromatic pair until none remain.
-    # Parts stay ordered by least vertex: a merge keeps the smaller index.
+    for a in range(1, c.k + 1):
+        if a not in between:
+            for v, row in enumerate(adj[a]):
+                h[v] |= row
     while True:
-        conflict = None
-        for key in sorted(pair_colors):
-            if len(pair_colors[key]) >= 2:
-                conflict = key
-                break
-        if conflict is None:
-            break
-        i, j = conflict
-        parts[i] |= parts[j]
-        active.remove(j)
-        if len(active) < 2:
+        parts = _components(h, n)
+        if len(parts) < 2:
             return None
-        for l in active:
-            if l == i:
-                continue
-            a, b = min(i, l), max(i, l)
-            ja, jb = min(j, l), max(j, l)
-            pair_colors[(a, b)] = pair_colors[(a, b)] | pair_colors.pop((ja, jb))
-        del pair_colors[(i, j)]
-    return [parts[i] for i in active]
+        # one between color cannot show two colors across a pair
+        if len(between) < 2:
+            return parts
+        adj_a, adj_b = (adj[a] for a in between)
+        linked = False
+        for i, p in enumerate(parts):
+            reach_a = reach_b = 0
+            for v in _bits(p):
+                reach_a |= adj_a[v]
+                reach_b |= adj_b[v]
+            u = (p & -p).bit_length() - 1
+            for q in parts[i + 1 :]:
+                if reach_a & q and reach_b & q:
+                    w = (q & -q).bit_length() - 1
+                    h[u] |= 1 << w
+                    h[w] |= 1 << u
+                    linked = True
+        if not linked:
+            return parts
 
 
 def gallai_partition(c: EdgeColoring) -> Optional[GallaiPartition]:
@@ -166,7 +154,6 @@ def gallai_partition(c: EdgeColoring) -> Optional[GallaiPartition]:
 
 
 def _build(c: EdgeColoring, masks: Sequence[int]) -> GallaiPartition:
-    adj = c.color_adjacency()
     parts = tuple(tuple(_bits(m)) for m in masks)
     pair_color: dict[tuple[int, int], int] = {}
     between = set()

@@ -31,7 +31,9 @@ order of the rest is unchanged, so the first hit stays the lex-least one:
 search, first builds a greedy maximal matching; it is a lower bound on the
 matching number, so reaching the asked size answers yes, and the exact
 subset recursion or networkx blossom runs only when greedy falls short.
-The matching search keeps its candidate order, so only its oracle changes.
+The oracle is exact, so the matching search is a plain loop with no
+backtracking: it takes, once per pair, the lex-least pair whose removal
+leaves enough disjoint edges for the rest.
 """
 
 from __future__ import annotations
@@ -247,35 +249,29 @@ def _matching_at_least(adj: list[int], free: int, r: int, n: int) -> bool:
 
 
 def _find_matching_sequence(adj: list[int], n: int, pairs: int) -> Optional[list[int]]:
-    full = (1 << n) - 1
-    if not _matching_at_least(adj, full, pairs, n):
+    free = (1 << n) - 1
+    if not _matching_at_least(adj, free, pairs, n):
         return None
+    # a partner b < a is never needed: (b, a) leaves the same vertices
+    # and was tried first
     out: list[int] = []
-
-    def place(mask: int, left: int) -> bool:
-        if left == 0:
-            return True
-        free = full & ~mask
-        cand_a = free
-        while cand_a:
-            abit = cand_a & -cand_a
-            cand_a ^= abit
-            a = abit.bit_length() - 1
-            cand_b = adj[a] & free & ~abit
-            while cand_b:
-                bbit = cand_b & -cand_b
-                cand_b ^= bbit
-                taken = mask | abit | bbit
-                if left == 1 or _matching_at_least(adj, full & ~taken, left - 1, n):
-                    out.append(a)
-                    out.append(bbit.bit_length() - 1)
-                    if place(taken, left - 1):
-                        return True
-                    out.pop()
-                    out.pop()
-        return False
-
-    return out if place(0, pairs) else None
+    for left in range(pairs - 1, -1, -1):
+        above = free
+        pair = 0
+        while not pair:
+            a = (above & -above).bit_length() - 1
+            above ^= 1 << a
+            # `above` now holds the free vertices after a
+            cand = adj[a] & above
+            while cand:
+                bbit = cand & -cand
+                cand ^= bbit
+                if left == 0 or _matching_at_least(adj, free ^ 1 << a ^ bbit, left, n):
+                    pair = 1 << a | bbit
+                    break
+        out += (a, bbit.bit_length() - 1)
+        free ^= pair
+    return out
 
 
 def find_mono(c: EdgeColoring, color: int, target: TargetGraph) -> Optional[Embedding]:
