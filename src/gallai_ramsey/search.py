@@ -1,27 +1,29 @@
 """Detection of monochromatic paths, even cycles and matchings inside
 one color class of an edge coloring.
 
-All searches run over bitmask adjacency (one int per vertex). Every path
-and cycle search, both the whole-class searches behind `find_mono` and the
-verifier's through-edge checks, is a thin caller of one DFS core,
-`_extend`, which grows a simple path vertex by vertex in increasing vertex
-order, so the first hit is the lexicographically least embedding and
-certificates are reproducible. Four devices keep the DFS small; each
-only drops candidates or states that cannot lead to a hit, and the
-order of the rest is unchanged, so the first hit stays the lex-least one:
+All searches run over bitmask adjacency (one int per vertex). The
+whole-class path and cycle searches behind `find_mono` are thin callers
+of one DFS core, `_extend`, which grows a simple path vertex by vertex in
+increasing vertex order, so the first hit is the lexicographically least
+embedding and certificates are reproducible. The verifier's through-edge
+checks need only yes or no, and run two bool kernels that build no
+vertex lists: `_reach_end`, the yes/no twin of `_extend`, and
+`_two_arms`, which grows a path's two arms from the ends of the edge.
+Four devices keep the DFS small; each only drops candidates or states
+that cannot lead to a hit, and the order of the rest is unchanged, so
+the first hit stays the lex-least one:
 
 * after a candidate extension fails, later candidates with the same
   class neighborhood are skipped. Swapping two such twins is an
   automorphism of the color class, so they fail identically. Extremal
   colorings are full of twins, which is exactly where naive DFS blows up.
-* the whole-class searches memoize failed (last vertex, visited mask)
-  states. The through-edge checks run without this memo: the verifier's
-  hosts have at most N <= ~10 vertices, and there the memo cost more time
-  than it saved.
+* `_extend` memoizes failed (last vertex, visited mask) states.
 * the final vertex is drawn from one mask of allowed ends (for a cycle,
   the start's neighbors), so the last step is the lowest candidate in
   that mask, with no recursion: a failed candidate lies outside the mask
   and so does each of its twins, so the twin skip never passes over it.
+  `_reach_end` stops one step earlier: with two vertices to go, it asks
+  whether some candidate has a free neighbor in the mask.
 * a dead-end cut fails a state when no free vertex of the ends mask is
   left, or when a bitmask walk from the last vertex through the free
   vertices reaches none: no extension of such a state can close. For
@@ -84,31 +86,22 @@ def _extend(
     last: int,
     mask: int,
     need: int,
-    allowed: int = -1,
     ends: int = -1,
-    hop: int = -1,
     failed: Optional[set[tuple[int, int]]] = None,
 ) -> Optional[list[int]]:
     """Extend a simple path ending at `last` by `need` more vertices.
 
-    New vertices come from `allowed` outside `mask` (the vertices already
-    used), and the final one must lie in `ends`; the default -1 leaves the
-    end free. When `hop` is a vertex, the search may once, at any point,
-    continue from `hop` instead of the current end: that grows the second
-    arm of a path through an edge. Failed (last, mask) states are recorded
-    in `failed` when given; the key ignores `allowed`, `ends` and `hop`, so
-    a memo may be shared only by calls that fix the first two and never
-    hop. The twin skip needs swapping two candidates to fix every input,
-    so callers keep `ends` at -1 or the neighborhood of a vertex in
-    `mask` (cut to `allowed`), and `hop` inside `mask`.
+    New vertices come from outside `mask` (the vertices already used, or
+    ruled out), and the final one must lie in `ends`; the default -1
+    leaves the end free. Failed (last, mask) states are recorded in
+    `failed` when given; the key ignores `ends`, so a memo may be shared
+    only by calls that fix it. The twin skip needs swapping two
+    candidates to fix every input, so callers keep `ends` at -1 or the
+    neighborhood of a vertex in `mask`.
 
     Returns the added vertices in the order they were added, or None.
     """
-    if hop >= 0:
-        found = _extend(adj, hop, mask, need, allowed, ends, -1, failed)
-        if found is not None:
-            return found
-    cand = adj[last] & allowed & ~mask
+    cand = adj[last] & ~mask
     if need <= 1:
         if need == 0:
             return []
@@ -120,7 +113,7 @@ def _extend(
         return None
     # dead-end cut: the final vertex must be a free vertex of `ends` that
     # a walk from `last` through free vertices reaches
-    if cand & ends or _reaches(adj, cand, allowed & ~mask, ends):
+    if cand & ends or _reaches(adj, cand, ~mask, ends):
         tried: list[tuple[int, int]] = []
         while cand:
             bit = cand & -cand
@@ -129,13 +122,66 @@ def _extend(
             w_adj = adj[w]
             if tried and _twin_skip(w_adj, bit, tried):
                 continue
-            found = _extend(adj, w, mask | bit, need - 1, allowed, ends, hop, failed)
+            found = _extend(adj, w, mask | bit, need - 1, ends, failed)
             if found is not None:
                 return [w, *found]
             tried.append((w_adj, bit))
     if failed is not None:
         failed.add((last, mask))
     return None
+
+
+def _reach_end(adj: list[int], last: int, mask: int, need: int, ends: int) -> bool:
+    """Can a simple path ending at `last` take `need` more vertices from
+    outside `mask`, the final one in `ends`? The yes/no twin of
+    `_extend`, with the same twin skip and dead-end cut and no memo."""
+    cand = adj[last] & ~mask
+    if need == 2:
+        # some candidate has a free neighbor in `ends` (a class has no loops)
+        ends &= ~mask
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            if adj[bit.bit_length() - 1] & ends:
+                return True
+        return False
+    if need < 2:
+        return need == 0 or (cand & ends) != 0
+    if cand & ends or _reaches(adj, cand, ~mask, ends):
+        tried: list[tuple[int, int]] = []
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            w_adj = adj[bit.bit_length() - 1]
+            for f_adj, f_bit in tried:
+                both = ~(bit | f_bit)
+                if (w_adj & both) == (f_adj & both):
+                    break
+            else:
+                if _reach_end(adj, bit.bit_length() - 1, mask | bit, need - 1, ends):
+                    return True
+                tried.append((w_adj, bit))
+    return False
+
+
+def _two_arms(adj: list[int], last: int, mask: int, need: int, hop: int) -> bool:
+    """Can two disjoint arms, one from `last` and one from `hop`, take
+    `need` more vertices from outside `mask` between them? Either the arm
+    at `hop` takes them all, or the arm at `last` grows by one."""
+    if _reach_end(adj, hop, mask, need, -1):
+        return True
+    cand = adj[last] & ~mask
+    tried: list[tuple[int, int]] = []
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        w_adj = adj[bit.bit_length() - 1]
+        if tried and _twin_skip(w_adj, bit, tried):
+            continue
+        if _two_arms(adj, bit.bit_length() - 1, mask | bit, need - 1, hop):
+            return True
+        tried.append((w_adj, bit))
+    return False
 
 
 def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
@@ -164,16 +210,17 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
         return None
     tried_starts: list[tuple[int, int]] = []
     # phase s searches cycles whose minimum vertex is s, so every later
-    # vertex is restricted above s and the first hit is lex-least overall
+    # vertex lies above s and the first hit is lex-least overall
     for s in active:
         sbit = 1 << s
-        above = -1 << (s + 1)
-        ends = adj[s] & above
+        # the vertices below s count as used
+        used = (sbit << 1) - 1
+        ends = adj[s] & ~used
         if ends.bit_count() < 2:
             continue
         if _twin_skip(adj[s], sbit, tried_starts):
             continue
-        rest = _extend(adj, s, sbit, length - 1, above, ends, failed=set())
+        rest = _extend(adj, s, used, length - 1, ends, set())
         if rest is not None:
             return [s, *rest]
         tried_starts.append((adj[s], sbit))
@@ -346,14 +393,13 @@ def verify_embedding(c: EdgeColoring, e: Embedding) -> bool:
 
 
 def exists_path_through(adj: list[int], u: int, v: int, m: int) -> bool:
-    # one arm grows from u; the one-time hop to v grows the other arm
-    base = (1 << u) | (1 << v)
-    return _extend(adj, u, base, m - 2, hop=v) is not None
+    # a path through edge (u,v) is two disjoint arms, one from each end
+    return _two_arms(adj, u, (1 << u) | (1 << v), m - 2, v)
 
 
 def exists_cycle_through(adj: list[int], u: int, v: int, length: int) -> bool:
     # a cycle through edge (u,v) is a u-to-v path on `length` vertices
-    return _extend(adj, u, (1 << u) | (1 << v), length - 2, ends=adj[v]) is not None
+    return _reach_end(adj, u, (1 << u) | (1 << v), length - 2, adj[v])
 
 
 def exists_matching_with_edge(

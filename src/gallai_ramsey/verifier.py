@@ -94,11 +94,12 @@ class _BudgetExhausted(Exception):
 def _through_check(t: TargetGraph, n: int):
     if t.num_vertices > n:
         return None
+    size = t.size
     if t.kind == PATH:
-        return lambda adj, u, v: exists_path_through(adj, u, v, t.size)
+        return lambda adj, u, v: exists_path_through(adj, u, v, size)
     if t.kind == CYCLE:
-        return lambda adj, u, v: exists_cycle_through(adj, u, v, t.size)
-    return lambda adj, u, v: exists_matching_with_edge(adj, u, v, t.size, n)
+        return lambda adj, u, v: exists_cycle_through(adj, u, v, size)
+    return lambda adj, u, v: exists_matching_with_edge(adj, u, v, size, n)
 
 
 def _memoized(check, memo: dict[int, bool], cls: list[int], col: int, bits: list[list[int]]):

@@ -145,6 +145,21 @@ def test_c8_on_hosts_full_of_dead_ends(host, want):
     assert verify_embedding(c, got)
 
 
+def blow_up(rng, base_n, copies):
+    """Random graph on `base_n` vertices with each vertex replaced by 1 to
+    `copies` twins: equal neighborhoods, the copies of a vertex pairwise
+    joined or pairwise not."""
+    joined = {(i, j): rng.random() < 0.5 for i in range(base_n) for j in range(i, base_n)}
+    owner = [i for i in range(base_n) for _ in range(rng.randint(1, copies))]
+    adj = [0] * len(owner)
+    for a in range(len(owner)):
+        for b in range(a + 1, len(owner)):
+            if joined[owner[a], owner[b]]:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return adj
+
+
 def test_through_edge_checks_match_oracle():
     rng = random.Random(29)
     targets = (
@@ -152,6 +167,7 @@ def test_through_edge_checks_match_oracle():
         + [even_cycle(l) for l in (4, 6, 8)]
         + [matching(s) for s in range(1, 5)]
     )
+    classes = []
     for trial in range(40):
         n = rng.randint(2, 8)
         density = rng.random()
@@ -161,8 +177,25 @@ def test_through_edge_checks_match_oracle():
                 if rng.random() < density:
                     adj[a] |= 1 << b
                     adj[b] |= 1 << a
+        classes.append((targets, adj))
+    # uniform classes rarely have twins, which the checks skip; Gallai
+    # hosts and blow-ups are full of them. Targets larger than the host
+    # are left out, as the verifier never asks for them.
+    shapes = [path(m) for m in range(2, 10)] + [even_cycle(l) for l in (4, 6, 8)]
+
+    def twin_targets(n):
+        return [t for t in shapes if t.num_vertices <= n]
+
+    for trial in range(6):
+        c = random_gallai(rng.randint(7, 9), rng.randint(2, 3), rng.randrange(2**32))
+        classes += [(twin_targets(c.n), adj) for adj in c.color_adjacency()[1:]]
+    for base_n, copies in [(3, 3), (4, 2)] * 4:
+        adj = blow_up(rng, base_n, copies)
+        classes.append((twin_targets(len(adj)), adj))
+    for trial, (ts, adj) in enumerate(classes):
+        n = len(adj)
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1]
-        for t in targets:
+        for t in ts:
             for a, b in edges:
                 want = brute_exists_through(adj, a, b, t)
                 for u, v in ((a, b), (b, a)):
@@ -173,6 +206,17 @@ def test_through_edge_checks_match_oracle():
                     else:
                         got = exists_matching_with_edge(adj, u, v, t.size, n)
                     assert got == want, (trial, adj, t.name, u, v)
+
+
+def test_cycle_phase_counts_lower_vertices_as_used():
+    # the phase of vertex 2 counts 0, 1 and 2 itself as used; 0 and 1 are
+    # joined to the C6 on 2..7 (chord 2-5) but lie on no C6
+    edges = [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 7), (2, 5), (0, 2), (0, 3), (1, 2), (1, 3)]
+    pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    c = new_coloring(8, 2, {e: 1 if e in edges else 2 for e in pairs})
+    got = find_mono(c, 1, even_cycle(6))
+    assert got is not None and got.vertices == brute_find_sequence(c, 1, even_cycle(6))
+    assert got.vertices == (2, 3, 4, 5, 6, 7)
 
 
 def test_path_monotonicity():
