@@ -27,7 +27,10 @@ be switched off for testing.
 The budget bounds the node count in this sequential search order. A
 parallel run cuts the tree at SPLIT_DEPTH edges into subtasks and folds
 their results in prefix order, each counted at its sequential position,
-so the verdict and witness never depend on the thread count.
+so the verdict and witness never depend on the thread count. Each pool
+worker keeps one search, and with it the memos, for the whole call and
+takes the subtasks in contiguous chunks, so that neighbouring prefixes
+share memo entries.
 """
 
 from __future__ import annotations
@@ -123,19 +126,17 @@ class _Search:
     """The search tree below a prefix of the edge order. A leaf at depth
     m is a full coloring that avoids every target: the witness."""
 
-    def __init__(self, n: int, targets: Sequence[TargetGraph], budget: int, symmetry: bool):
+    def __init__(self, n: int, targets: Sequence[TargetGraph], symmetry: bool):
         self.k = len(targets)
         self.edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         self.m = len(self.edges)
         self.leaf_depth = self.m
-        self.budget = budget
         self.symmetry = symmetry
         self.adj = [[0] * n for _ in range(self.k + 1)]
         self.assigned_nb = [0] * n
         self.assignment = [0] * self.m
         # per color: its class as a bitmask over edge indices
         self.cls = [0] * (self.k + 1)
-        self.stats = SearchStats()
         # predecessor inside each group of identical targets
         prev: list[int] = [0] * (self.k + 1)
         last_seen: dict[TargetGraph, int] = {}
@@ -159,7 +160,19 @@ class _Search:
         # the vertex rule compares edges (0,1) and (0,2) of the lex order
         self.vertex_rule_idx = 1 if n >= 3 else -1
 
-    def apply_prefix(self, prefix: Sequence[int]) -> None:
+    def start(self, prefix: Sequence[int], budget: int) -> None:
+        """Clear what an earlier run left, a stop at a witness or at the
+        budget included, then color `prefix`. The memos stay: a key
+        fixes the class graph and the new edge, so its answer does not
+        depend on the prefix. The memoized checks hold `cls`, so it is
+        cleared in place, as are the other lists."""
+        self.budget = budget
+        self.stats = SearchStats()
+        for row in self.adj:
+            row[:] = [0] * len(row)
+        self.assigned_nb[:] = [0] * len(self.assigned_nb)
+        self.assignment[:] = [0] * self.m
+        self.cls[:] = [0] * (self.k + 1)
         for idx, col in enumerate(prefix):
             u, v = self.edges[idx]
             for a, b in ((u, v), (v, u)):
@@ -252,18 +265,31 @@ def _as_targets(spec_or_targets) -> list[TargetGraph]:
     return parse_target_list(spec_or_targets)
 
 
-def _solve(args) -> tuple[Optional[list[int]], SearchStats]:
+def _solve(
+    search: _Search, prefix: Sequence[int], budget: int
+) -> tuple[Optional[list[int]], SearchStats]:
     """Search the subtree below `prefix` (the whole tree when empty)
     within `budget` nodes: the witness colors, if any, and the counters,
-    which exceed the budget when it ran out. Sequential runs and pool
-    subtasks both run this."""
-    n, targets, prefix, budget, symmetry = args
-    search = _Search(n, targets, budget, symmetry)
-    search.apply_prefix(prefix)
+    which exceed the budget when it ran out. Sequential runs, the split's
+    top levels and pool subtasks all run this."""
+    search.start(prefix, budget)
     try:
         return search._dfs(len(prefix)), search.stats
     except _BudgetExhausted:
         return None, search.stats
+
+
+# the search of a pool worker, built once by the pool's initializer
+_worker_search: Optional[_Search] = None
+
+
+def _start_worker(n: int, targets: Sequence[TargetGraph], symmetry: bool) -> None:
+    global _worker_search
+    _worker_search = _Search(n, targets, symmetry)
+
+
+def _solve_subtask(task: tuple[tuple[int, ...], int]) -> tuple[Optional[list[int]], SearchStats]:
+    return _solve(_worker_search, *task)
 
 
 def _add(total: SearchStats, part: SearchStats) -> None:
@@ -275,24 +301,26 @@ def _add(total: SearchStats, part: SearchStats) -> None:
 
 def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[int]], SearchStats]:
     """_solve on the whole tree, its subtrees below SPLIT_DEPTH run by
-    at most `threads` worker processes. Subtask j may use the nodes left
-    when the sequential order reaches prefix j; the fold stops at a
-    witness or once the sequential count exceeds the budget. Leaving the
-    pool's block terminates and joins the workers, so none outlives the
-    call."""
-    top = _PrefixSearch(n, targets, budget, symmetry)
-    try:
-        top._dfs(0)
-    except _BudgetExhausted:
-        pass  # fold the prefixes reached; the count already exceeds the budget
+    at most `threads` worker processes. Each worker keeps one search,
+    memos included, for the whole call, and takes the subtasks in
+    contiguous chunks, as Pool.map sizes them, so that neighbouring
+    prefixes, which share memo keys, meet the same memo. Subtask j may
+    use the nodes left when the sequential order reaches prefix j; the
+    fold stops at a witness or once the sequential count exceeds the
+    budget. Leaving the pool's block terminates and joins the workers,
+    so none outlives the call."""
+    top = _PrefixSearch(n, targets, symmetry)
+    _solve(top, (), budget)  # on exhaustion, fold the prefixes reached
     if not top.prefixes:
         return None, top.stats
     stats = SearchStats()
-    tasks = (
-        (n, targets, prefix, budget - before.nodes, symmetry) for prefix, before in top.prefixes
-    )
-    with multiprocessing.Pool(min(threads, len(top.prefixes))) as pool:
-        for (_, before), (colors, sub) in zip(top.prefixes, pool.imap(_solve, tasks)):
+    tasks = ((prefix, budget - before.nodes) for prefix, before in top.prefixes)
+    workers = min(threads, len(top.prefixes))
+    chunk = -(-len(top.prefixes) // (4 * workers))
+    init = (n, targets, symmetry)
+    with multiprocessing.Pool(workers, initializer=_start_worker, initargs=init) as pool:
+        results = pool.imap(_solve_subtask, tasks, chunksize=chunk)
+        for (_, before), (colors, sub) in zip(top.prefixes, results):
             _add(stats, sub)
             if colors is not None or before.nodes + stats.nodes > budget:
                 _add(stats, before)
@@ -330,7 +358,7 @@ def decide_upper(
 
     start = time.perf_counter()
     if threads == 1 or n * (n - 1) // 2 <= SPLIT_DEPTH:
-        colors, stats = _solve((n, targets, (), budget, symmetry))
+        colors, stats = _solve(_Search(n, targets, symmetry), (), budget)
     else:
         colors, stats = _solve_split(n, targets, budget, symmetry, threads)
     stats.elapsed = time.perf_counter() - start

@@ -20,7 +20,7 @@ from gallai_ramsey import (
     verify_lower,
 )
 from gallai_ramsey.search import exists_cycle_through
-from gallai_ramsey.verifier import MEMO_SIZE, _Search
+from gallai_ramsey.verifier import MEMO_SIZE, _Search, _solve
 
 
 def kinds(n, targets, **kw):
@@ -104,17 +104,22 @@ def test_search_statistics_are_pinned(n, targets, budget, kind, counts):
     assert got == counts
 
 
-@pytest.mark.parametrize("prefix", [(), (1, 2, 3, 1, 2, 3)], ids=["whole", "subtask"])
-def test_memo_entries_match_direct_checks(prefix):
+@pytest.mark.parametrize(
+    "prefixes",
+    [[()], [(1, 2, 3, 1, 2, 3)], [(1, 2, 3, 1, 2, 3), (1, 1, 2, 3, 3, 2)]],
+    ids=["whole", "subtask", "reused"],
+)
+def test_memo_entries_match_direct_checks(prefixes):
     # the whole tree of C4,C4,C4@7 meets 24.8k distinct keys, so its
     # memo is cleared on the way; every entry left must decode, by its
     # bits, to the class graph and the new edge whose check it stores.
-    # The subtask's prefix colors the edges (0,1)...(0,6), which its
-    # keys must hold too.
+    # A subtask's prefix colors the edges (0,1)...(0,6), which its keys
+    # must hold too; a pool worker runs its subtasks on one search, so
+    # the memo must stay true across prefixes.
     n = 7
-    search = _Search(n, parse_target_list("C4,C4,C4"), DEFAULT_BUDGET, True)
-    search.apply_prefix(prefix)
-    assert search._dfs(len(prefix)) is None
+    search = _Search(n, parse_target_list("C4,C4,C4"), True)
+    for prefix in prefixes:
+        assert _solve(search, prefix, DEFAULT_BUDGET)[0] is None
     (memo,) = search.memos.values()
     assert 0 < len(memo) < MEMO_SIZE
     for key, hit in memo.items():
@@ -125,6 +130,26 @@ def test_memo_entries_match_direct_checks(prefix):
                 rows[b] |= 1 << a
         u, v = search.edges[key.bit_length() - 1]
         assert exists_cycle_through(rows, u, v, 4) == hit, (key, u, v)
+
+
+def test_reused_search_matches_fresh_one():
+    # a pool worker runs its subtasks on one search; a stop at the
+    # budget or at a witness leaves its state part-way down the tree,
+    # and the next subtask must not see it. Subtasks of C4,C4,C4,C4@7:
+    # (1,1,1,1,1,2) has a witness at 27,493 nodes, (1,1,1,1,2,1) one at
+    # 19,089, and (1,1,1,1,2,3) none in 14,728.
+    n, targets = 7, parse_target_list("C4,C4,C4,C4")
+    runs = [
+        ((1, 1, 1, 1, 1, 2), 1_000),
+        ((1, 1, 1, 1, 2, 1), DEFAULT_BUDGET),
+        ((1, 1, 1, 1, 2, 3), DEFAULT_BUDGET),
+    ]
+    search = _Search(n, targets, True)
+    got = [_solve(search, prefix, budget) for prefix, budget in runs]
+    want = [_solve(_Search(n, targets, True), prefix, budget) for prefix, budget in runs]
+    assert [colors for colors, _ in got] == [colors for colors, _ in want]
+    assert [counts(stats) for _, stats in got] == [counts(stats) for _, stats in want]
+    assert [stats.nodes for _, stats in want] == [1_001, 19_089, 14_728]
 
 
 def test_budget_exhaustion_is_a_verdict():
@@ -158,8 +183,12 @@ def test_parallel_matches_sequential():
     # around the sequential node count s the split run stops where the
     # sequential one does (P6,P6@8: all_forced at s = 32,022; P7,P5@7:
     # bad_coloring at s = 1,053); P3,P3,P3@5 dies above SPLIT_DEPTH, so
-    # the split run has no prefix to hand out
+    # the split run has no prefix to hand out. With three or more colors
+    # each worker keeps its memos across its chunk of subtasks:
+    # C4,C4,C4,C4@7 finds its witness (s = 6,791) inside the first chunk,
+    # and P5,P5,P3@6 is all_forced at s = 4,593 over 108 subtasks.
     cases = [(6, "P5,P5"), (5, "P5,P5"), (6, "C6,P3"), (8, "P6,P6"), (7, "P7,P5"), (5, "P3,P3,P3")]
+    cases += [(7, "C4,C4,C4,C4"), (6, "P5,P5,P3")]
     for n, targets in cases:
         s = decide_upper(n, targets)[1].nodes
         for budget in (s - 1, s, s + 1):
