@@ -30,12 +30,16 @@ the first hit stays the lex-least one:
   paths every vertex is an end, and both tests reduce to "no candidate".
 
 `_matching_at_least`, the feasibility oracle of the lex-least matching
-search, first builds a greedy maximal matching; it is a lower bound on the
-matching number, so reaching the asked size answers yes, and the exact
-subset recursion or networkx blossom runs only when greedy falls short.
-The oracle is exact, so the matching search is a plain loop with no
-backtracking: it takes, once per pair, the lex-least pair whose removal
-leaves enough disjoint edges for the rest.
+search, first builds a greedy maximal matching; reaching the asked size
+there answers yes. When greedy falls short, `_augment` grows it by
+Edmonds' augmenting paths (Edmonds, "Paths, trees, and flowers", 1965),
+contracting blossoms by relabelling their vertices' base, from one
+unmatched vertex at a time; a vertex with no augmenting path never gets
+one later, so the loop ends when too few untried vertices are left. This
+is polynomial on every host and needs no outside library. The oracle is
+exact, so the matching search is a plain loop with no backtracking: it
+takes, once per pair, the lex-least pair whose removal leaves enough
+disjoint edges for the rest.
 """
 
 from __future__ import annotations
@@ -44,11 +48,6 @@ from typing import Optional, Sequence
 
 from .coloring import ColorOutOfRangeError, EdgeColoring
 from .targets import CYCLE, PATH, Embedding, TargetGraph
-
-# Above this host size the subset recursion for maximum matching gives
-# way to networkx's blossom implementation.
-MATCHING_DP_LIMIT = 20
-
 
 class SpecLengthMismatchError(ValueError):
     """Target list length differs from the coloring's palette size."""
@@ -227,77 +226,116 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
     return None
 
 
-def _matching_ge(adj: list[int], mask: int, need: int, failed: dict[int, int]) -> bool:
-    """Exact test for `need` >= 1 disjoint edges inside `mask`: each vertex
-    in turn is matched to each later neighbor, or left out for good.
-    `failed` maps a mask to the least need that failed on it; a larger
-    need fails there too."""
-    left = mask
-    if need == 1:
-        while left:
-            ubit = left & -left
-            left ^= ubit
-            if adj[ubit.bit_length() - 1] & left:
-                return True
-        return False
-    if failed.get(mask, need + 1) <= need:
-        return False
-    while left.bit_count() >= 2 * need:
-        ubit = left & -left
-        left ^= ubit
-        cand = adj[ubit.bit_length() - 1] & left
+def _augment(adj: list[int], free: int, mate: dict[int, int], root: int) -> int:
+    """Edmonds' search for an augmenting path inside `free` from the
+    unmatched `root`: flips the path in `mate` and returns its other
+    end, or -1 when there is none. The tree's outer vertices are the
+    root and the mates of its inner ones; an edge between two outer
+    vertices closes a blossom, contracted by relabelling the `base` of
+    its vertices to the blossom's base."""
+    base = list(range(free.bit_length()))
+    parent = [-1] * len(base)
+    outer = 1 << root
+    inner = 0
+    queue = [root]
+    for v in queue:
+        cand = adj[v] & free
         while cand:
             wbit = cand & -cand
             cand ^= wbit
-            if _matching_ge(adj, left ^ wbit, need - 1, failed):
-                return True
-    failed[mask] = need
-    return False
+            w = wbit.bit_length() - 1
+            if base[v] == base[w]:  # an edge inside one blossom
+                continue
+            if wbit & outer:
+                # the blossom's base: the first base on the root path of v
+                # that is also on the root path of w
+                a = base[v]
+                path = 1 << a
+                while a != root:
+                    a = base[parent[mate[a]]]
+                    path |= 1 << a
+                b = base[w]
+                while not path >> b & 1:
+                    b = base[parent[mate[b]]]
+                # bases on either side of the blossom, their tree edges
+                # turned to lead back through the closing edge v-w
+                blossom = 0
+                for x, child in ((v, w), (w, v)):
+                    while base[x] != b:
+                        m = mate[x]
+                        blossom |= 1 << base[x] | 1 << base[m]
+                        parent[x] = child
+                        child = m
+                        x = parent[m]
+                for x, bx in enumerate(base):
+                    if blossom >> bx & 1:
+                        base[x] = b
+                        if not outer >> x & 1:
+                            outer |= 1 << x
+                            queue.append(x)
+            elif not wbit & inner:
+                parent[w] = v
+                inner |= wbit
+                if w not in mate:
+                    end = w
+                    while w >= 0:
+                        v = parent[w]
+                        nxt = mate.get(v, -1)
+                        mate[v] = w
+                        mate[w] = v
+                        w = nxt
+                    return end
+                m = mate[w]
+                outer |= 1 << m
+                queue.append(m)
+    return -1
 
 
-def _matching_at_least(adj: list[int], free: int, r: int, n: int) -> bool:
+def _matching_at_least(adj: list[int], free: int, r: int) -> bool:
     """Does the class restricted to `free` contain r disjoint edges?"""
     if r <= 0:
         return True
     if free.bit_count() < 2 * r:
         return False
-    # a greedy maximal matching is a lower bound on the matching number
+    # a greedy maximal matching first, the start of the augmenting paths
+    mate: dict[int, int] = {}
+    matched = touched = 0
     left = free
-    got = 0
     while left:
         ubit = left & -left
         left ^= ubit
-        nbrs = adj[ubit.bit_length() - 1] & left
-        if nbrs:
-            left ^= nbrs & -nbrs
-            got += 1
-            if got == r:
-                return True
-    if n <= MATCHING_DP_LIMIT:
-        return _matching_ge(adj, free, r, {})
-    import networkx as nx
-
-    g = nx.Graph()
-    mask = free
-    while mask:
-        ubit = mask & -mask
-        mask ^= ubit
         u = ubit.bit_length() - 1
-        nbrs = adj[u] & free
-        while nbrs:
+        nbrs = adj[u] & left
+        if nbrs:
             wbit = nbrs & -nbrs
-            nbrs ^= wbit
+            left ^= wbit
             w = wbit.bit_length() - 1
-            if w > u:
-                g.add_edge(u, w)
-    if g.number_of_edges() == 0:
-        return False
-    return len(nx.max_weight_matching(g, maxcardinality=True)) >= r
+            mate[u] = w
+            mate[w] = u
+            matched |= ubit | wbit
+            touched |= adj[u] | adj[w]
+            if len(mate) == 2 * r:
+                return True
+    # greedy is maximal, so an unmatched vertex with a free neighbor
+    # touches a matched one: these are the only possible path ends
+    roots = touched & free & ~matched
+    # an augmenting path joins two unmatched vertices, and a root without
+    # one never gets one later (Edmonds): each missing edge needs two
+    # untried roots
+    while roots.bit_count() >= 2 * r - len(mate):
+        rbit = roots & -roots
+        roots ^= rbit
+        end = _augment(adj, free, mate, rbit.bit_length() - 1)
+        if end >= 0:
+            if len(mate) == 2 * r:
+                return True
+            roots &= ~(1 << end)
+    return False
 
 
 def _find_matching_sequence(adj: list[int], n: int, pairs: int) -> Optional[list[int]]:
     free = (1 << n) - 1
-    if not _matching_at_least(adj, free, pairs, n):
+    if not _matching_at_least(adj, free, pairs):
         return None
     # a partner b < a is never needed: (b, a) leaves the same vertices
     # and was tried first
@@ -313,7 +351,7 @@ def _find_matching_sequence(adj: list[int], n: int, pairs: int) -> Optional[list
             while cand:
                 bbit = cand & -cand
                 cand ^= bbit
-                if left == 0 or _matching_at_least(adj, free ^ 1 << a ^ bbit, left, n):
+                if left == 0 or _matching_at_least(adj, free ^ 1 << a ^ bbit, left):
                     pair = 1 << a | bbit
                     break
         out += (a, bbit.bit_length() - 1)
@@ -408,4 +446,4 @@ def exists_matching_with_edge(
     if pairs <= 1:
         return True
     free = ((1 << n) - 1) & ~((1 << u) | (1 << v))
-    return _matching_at_least(adj, free, pairs - 1, n)
+    return _matching_at_least(adj, free, pairs - 1)

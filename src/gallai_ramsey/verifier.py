@@ -279,17 +279,29 @@ def _solve(
         return None, search.stats
 
 
-# the search of a pool worker, built once by the pool's initializer
+# the search of a pool worker, built once by the pool's initializer, and
+# whether the worker has stopped at a witness or at a task's budget
 _worker_search: Optional[_Search] = None
+_worker_stopped = False
 
 
 def _start_worker(n: int, targets: Sequence[TargetGraph], symmetry: bool) -> None:
-    global _worker_search
+    global _worker_search, _worker_stopped
     _worker_search = _Search(n, targets, symmetry)
+    _worker_stopped = False
 
 
 def _solve_subtask(task: tuple[tuple[int, ...], int]) -> tuple[Optional[list[int]], SearchStats]:
-    return _solve(_worker_search, *task)
+    """_solve on the worker's search. A worker receives its prefixes in
+    increasing order, and the fold breaks at or before the prefix where
+    the worker stopped, so once stopped it answers every later task at
+    once, with no nodes."""
+    global _worker_stopped
+    if _worker_stopped:
+        return None, SearchStats()
+    colors, stats = _solve(_worker_search, *task)
+    _worker_stopped = colors is not None or stats.nodes > task[1]
+    return colors, stats
 
 
 def _add(total: SearchStats, part: SearchStats) -> None:
@@ -307,8 +319,9 @@ def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[i
     prefixes, which share memo keys, meet the same memo. Subtask j may
     use the nodes left when the sequential order reaches prefix j; the
     fold stops at a witness or once the sequential count exceeds the
-    budget. Leaving the pool's block terminates and joins the workers,
-    so none outlives the call."""
+    budget, and a worker skips the rest of its tasks after such a stop
+    of its own. Leaving the pool's block terminates and joins the
+    workers, so none outlives the call."""
     top = _PrefixSearch(n, targets, symmetry)
     _solve(top, (), budget)  # on exhaustion, fold the prefixes reached
     if not top.prefixes:

@@ -1,12 +1,15 @@
 import random
+import sys
 
 import pytest
 
 from brute import brute_exists_through, brute_find_sequence
 from gallai_ramsey import (
+    ALL_FORCED,
     EdgeColoring,
     SpecLengthMismatchError,
     contains_required,
+    decide_upper,
     even_cycle,
     find_mono,
     matching,
@@ -18,7 +21,6 @@ from gallai_ramsey import (
     verify_embedding,
 )
 from gallai_ramsey.search import (
-    MATCHING_DP_LIMIT,
     _matching_at_least,
     exists_cycle_through,
     exists_matching_with_edge,
@@ -279,69 +281,90 @@ def test_verify_embedding_rejects_bad_certificates():
 def test_matching_dp_agrees_with_blossom():
     import networkx as nx
 
+    def host(n, edges):
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        g = nx.Graph(edges)
+        return adj, len(nx.max_weight_matching(g, maxcardinality=True))
+
     rng = random.Random(23)
+    hosts = []
     for trial in range(42):
-        # the last hosts are sparse and above the DP limit, where greedy
-        # often falls short and the blossom decides
+        # the last hosts are sparse, where greedy often falls short and
+        # augmenting paths decide
         if trial < 30:
             n, density = rng.randint(2, 12), 0.3
         else:
             n, density = rng.randint(21, 26), 0.08
-        adj = [0] * n
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < density:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                    g.add_edge(u, v)
-        best = len(nx.max_weight_matching(g, maxcardinality=True))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        hosts.append((n, [e for e in pairs if rng.random() < density]))
+    # sparse hosts of 30 to 120 vertices, about 1.5 to 4.5 neighbors a
+    # vertex, where a maximum matching needs many augmenting paths
+    for n in range(30, 121, 6):
+        density = rng.uniform(1.5, 4.5) / n
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        hosts.append((n, [e for e in pairs if rng.random() < density]))
+    top = 0
+    for n, edges in hosts:
+        adj, best = host(n, edges)
+        top = max(top, best)
         full = (1 << n) - 1
         for r in range(0, n // 2 + 2):
-            assert _matching_at_least(adj, full, r, n) == (r <= best)
-    # multi-hub hosts at the DP limit: every edge touches one of the hubs,
-    # so hubs + 1 disjoint edges never fit and the exact recursion has to
-    # rule out every choice; without its failure memo this runs for tens
-    # of seconds
-    n = MATCHING_DP_LIMIT
-    full = (1 << n) - 1
-    for hubs in range(4, 8):
-        adj = [0] * n
-        g = nx.Graph()
-        for h in range(hubs):
-            for w in range(n):
-                if w != h:
-                    adj[h] |= 1 << w
-                    adj[w] |= 1 << h
-                    g.add_edge(h, w)
-        best = len(nx.max_weight_matching(g, maxcardinality=True))
-        assert best == hubs
-        for r in (hubs, hubs + 1):
-            assert _matching_at_least(adj, full, r, n) == (r <= best)
+            assert _matching_at_least(adj, full, r) == (r <= best), (n, r)
+    assert top >= 55
+    # multi-hub hosts: every edge touches one of the hubs, so hubs + 1
+    # disjoint edges never fit, and every root must be ruled out
+    for n in (20, 60, 200):
+        full = (1 << n) - 1
+        for hubs in range(4, 8):
+            adj, best = host(n, [(h, w) for h in range(hubs) for w in range(h + 1, n)])
+            assert best == hubs
+            for r in (hubs, hubs + 1):
+                assert _matching_at_least(adj, full, r) == (r <= best)
 
 
-@pytest.mark.parametrize("n", [4, MATCHING_DP_LIMIT + 3])
-def test_matching_where_greedy_falls_short(n):
-    # greedy takes 0-2 and is stuck at one edge; 0-3 with 1-2 gives two.
-    # The padded host adds isolated vertices to reach the blossom path.
+def greedy_short_host(n):
+    """Greedy takes 0-2 and is stuck at one edge; 0-3 with 1-2 gives two.
+    Vertices from 4 on are isolated in color 1."""
     edges = [(0, 2), (1, 2), (0, 3)]
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    full = (1 << n) - 1
-    assert _matching_at_least(adj, full, 2, n)
-    assert not _matching_at_least(adj, full, 3, n)
     assign = {(u, v): 2 for u in range(n) for v in range(u + 1, n)}
     assign.update({e: 1 for e in edges})
-    c = new_coloring(n, 2, assign)
+    return adj, new_coloring(n, 2, assign)
+
+
+@pytest.mark.parametrize("n", [4, 23])
+def test_matching_where_greedy_falls_short(n):
+    adj, c = greedy_short_host(n)
+    full = (1 << n) - 1
+    assert _matching_at_least(adj, full, 2)
+    assert not _matching_at_least(adj, full, 3)
     assert find_mono(c, 1, matching(2)).vertices == (0, 3, 1, 2)
+
+
+def test_matching_needs_no_networkx(monkeypatch):
+    # networkx is a test-only oracle: with it unimportable, the exact
+    # matching oracle, find_mono and the verifier's matching checks run
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    with pytest.raises(ImportError):
+        import networkx  # noqa: F401
+    adj, c = greedy_short_host(23)
+    full = (1 << 23) - 1
+    assert _matching_at_least(adj, full, 2)
+    assert not _matching_at_least(adj, full, 3)
+    assert find_mono(c, 1, matching(2)).vertices == (0, 3, 1, 2)
+    assert find_mono(c, 1, matching(3)) is None
+    assert decide_upper(8, "M3,M3")[0].kind == ALL_FORCED
 
 
 def test_matching_on_host_above_dp_limit():
     # 22 vertices: color 1 holds exactly 5 disjoint edges plus noise
-    n = MATCHING_DP_LIMIT + 2
+    n = 22
     assign = {}
     for u in range(n):
         for v in range(u + 1, n):

@@ -19,8 +19,9 @@ from gallai_ramsey import (
     sorted_spec,
     verify_lower,
 )
+from gallai_ramsey import verifier
 from gallai_ramsey.search import exists_cycle_through
-from gallai_ramsey.verifier import MEMO_SIZE, _Search, _solve
+from gallai_ramsey.verifier import MEMO_SIZE, _Search, _solve, _solve_subtask, _start_worker
 
 
 def kinds(n, targets, **kw):
@@ -150,6 +151,28 @@ def test_reused_search_matches_fresh_one():
     assert [colors for colors, _ in got] == [colors for colors, _ in want]
     assert [counts(stats) for _, stats in got] == [counts(stats) for _, stats in want]
     assert [stats.nodes for _, stats in want] == [1_001, 19_089, 14_728]
+
+
+def test_stopped_worker_skips_later_subtasks(monkeypatch):
+    # a pool worker receives its prefixes in increasing order and the
+    # fold breaks at or before the prefix where the worker stopped, so
+    # after a witness or a budget stop every later subtask of that worker
+    # comes back at once with no nodes; a subtask that runs to its end
+    # does not stop the worker. Subtasks of C4,C4,C4,C4@7: (1,1,1,1,1,2)
+    # has a witness at 27,493 nodes, (1,1,1,1,2,2) none in 4,588 and
+    # (1,1,1,1,2,3) none in 14,728.
+    monkeypatch.setattr(verifier, "_worker_search", None)
+    monkeypatch.setattr(verifier, "_worker_stopped", False)
+    targets = parse_target_list("C4,C4,C4,C4")
+    _start_worker(7, targets, True)
+    for prefix, nodes in [((1, 1, 1, 1, 2, 2), 4_588), ((1, 1, 1, 1, 2, 3), 14_728)]:
+        assert _solve_subtask((prefix, DEFAULT_BUDGET))[1].nodes == nodes
+    for budget, witness, nodes in [(DEFAULT_BUDGET, True, 27_493), (1_000, False, 1_001)]:
+        _start_worker(7, targets, True)
+        colors, stats = _solve_subtask(((1, 1, 1, 1, 1, 2), budget))
+        assert (colors is not None, stats.nodes) == (witness, nodes)
+        colors, stats = _solve_subtask(((1, 1, 1, 1, 2, 3), DEFAULT_BUDGET))
+        assert colors is None and counts(stats) == (0, 0, 0, 0)
 
 
 def test_budget_exhaustion_is_a_verdict():
