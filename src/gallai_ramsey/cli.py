@@ -2,9 +2,9 @@
 with file/JSON output for scripted pipelines.
 
 Exit codes: 0 definitive success, 1 definitive negative (target-free
-coloring on `check`, bad coloring on `verify-upper`, failed construction
-on `verify-lower`, discrepancy on `compute-gr`), 2 usage error, 3 budget
-exhausted.
+coloring on `check`, no Gallai partition on `partition`, bad coloring on
+`verify-upper`, failed construction on `verify-lower`, discrepancy on
+`compute-gr`), 2 usage error, 3 budget exhausted.
 """
 
 from __future__ import annotations

@@ -1,29 +1,27 @@
 """Detection of monochromatic paths, even cycles and matchings inside
 one color class of an edge coloring.
 
-All searches run over bitmask adjacency (one int per vertex). The
-whole-class path and cycle searches behind `find_mono` are thin callers
-of one DFS core, `_extend`, which grows a simple path vertex by vertex in
-increasing vertex order, so the first hit is the lexicographically least
-embedding and certificates are reproducible. The verifier's through-edge
-checks need only yes or no, and run two bool kernels that build no
-vertex lists: `_reach_end`, the yes/no twin of `_extend`, and
-`_two_arms`, which grows a path's two arms from the ends of the edge.
-Four devices keep the DFS small; each only drops candidates or states
-that cannot lead to a hit, and the order of the rest is unchanged, so
-the first hit stays the lex-least one:
+All searches run over bitmask adjacency (one int per vertex). Each
+target kind is an exact yes/no oracle plus a lex-least loop over it, so
+the first hit is the lexicographically least embedding and certificates
+are reproducible. For paths and cycles the oracle is one bool kernel,
+`_reach_end`: can a simple path ending at a given vertex take so many
+more vertices, the last one in a mask of allowed ends? `find_mono`
+takes at each step the lowest candidate from which it still reaches the
+end. The verifier's through-edge checks ask it directly for cycles, and
+for paths through `_two_arms`, which grows two arms from the ends of
+the edge. Four devices keep the kernel small; each only drops
+candidates or states that cannot lead to a hit:
 
-* after a candidate extension fails, later candidates with the same
-  class neighborhood are skipped. Swapping two such twins is an
-  automorphism of the color class, so they fail identically. Extremal
-  colorings are full of twins, which is exactly where naive DFS blows up.
-* `_extend` memoizes failed (last vertex, visited mask) states.
+* after a candidate fails, later candidates with the same class
+  neighborhood are skipped. Swapping two such twins is an automorphism
+  of the color class, so they fail identically. Extremal colorings are
+  full of twins, which is exactly where naive DFS blows up.
+* `find_mono` memoizes failed (last vertex, visited mask) states; the
+  through-edge checks pass no memo.
 * the final vertex is drawn from one mask of allowed ends (for a cycle,
-  the start's neighbors), so the last step is the lowest candidate in
-  that mask, with no recursion: a failed candidate lies outside the mask
-  and so does each of its twins, so the twin skip never passes over it.
-  `_reach_end` stops one step earlier: with two vertices to go, it asks
-  whether some candidate has a free neighbor in the mask.
+  the start's neighbors). With two vertices to go, the kernel asks
+  whether some candidate has a free neighbor in that mask.
 * a dead-end cut fails a state when no free vertex of the ends mask is
   left, or when a bitmask walk from the last vertex through the free
   vertices reaches none: no extension of such a state can close. For
@@ -80,60 +78,24 @@ def _reaches(adj: list[int], reach: int, free: int, ends: int) -> bool:
     return False
 
 
-def _extend(
+def _reach_end(
     adj: list[int],
     last: int,
     mask: int,
     need: int,
-    ends: int = -1,
+    ends: int,
     failed: Optional[set[tuple[int, int]]] = None,
-) -> Optional[list[int]]:
-    """Extend a simple path ending at `last` by `need` more vertices.
-
-    New vertices come from outside `mask` (the vertices already used, or
-    ruled out), and the final one must lie in `ends`; the default -1
-    leaves the end free. Failed (last, mask) states are recorded in
-    `failed` when given; the key ignores `ends`, so a memo may be shared
-    only by calls that fix it. The twin skip needs swapping two
-    candidates to fix every input, so callers keep `ends` at -1 or the
-    neighborhood of a vertex in `mask`.
-
-    Returns the added vertices in the order they were added, or None.
-    """
-    cand = adj[last] & ~mask
-    if need <= 1:
-        if need == 0:
-            return []
-        # a failed candidate lies outside `ends` and so do its twins: the
-        # loop below would return the lowest candidate in `ends`
-        hit = cand & ends
-        return [(hit & -hit).bit_length() - 1] if hit else None
-    if failed is not None and (last, mask) in failed:
-        return None
-    # dead-end cut: the final vertex must be a free vertex of `ends` that
-    # a walk from `last` through free vertices reaches
-    if cand & ends or _reaches(adj, cand, ~mask, ends):
-        tried: list[tuple[int, int]] = []
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            w_adj = adj[w]
-            if tried and _twin_skip(w_adj, bit, tried):
-                continue
-            found = _extend(adj, w, mask | bit, need - 1, ends, failed)
-            if found is not None:
-                return [w, *found]
-            tried.append((w_adj, bit))
-    if failed is not None:
-        failed.add((last, mask))
-    return None
-
-
-def _reach_end(adj: list[int], last: int, mask: int, need: int, ends: int) -> bool:
+) -> bool:
     """Can a simple path ending at `last` take `need` more vertices from
-    outside `mask`, the final one in `ends`? The yes/no twin of
-    `_extend`, with the same twin skip and dead-end cut and no memo."""
+    outside `mask` (the vertices already used, or ruled out), the final
+    one in `ends`? An `ends` of -1 leaves the end free.
+
+    The twin skip needs swapping two candidates to fix every input, so
+    callers keep `ends` at -1 or the neighborhood of a vertex in `mask`.
+    Failed (last, mask) states with `need` >= 3 are recorded in `failed`
+    when given. The key ignores `ends`, and `need` too, so a memo may be
+    shared only by calls that fix `ends` and whose mask fixes `need`.
+    """
     cand = adj[last] & ~mask
     if need == 2:
         # some candidate has a free neighbor in `ends` (a class has no loops)
@@ -146,6 +108,10 @@ def _reach_end(adj: list[int], last: int, mask: int, need: int, ends: int) -> bo
         return False
     if need < 2:
         return need == 0 or (cand & ends) != 0
+    if failed is not None and (last, mask) in failed:
+        return False
+    # dead-end cut: the final vertex must be a free vertex of `ends` that
+    # a walk from `last` through free vertices reaches
     if cand & ends or _reaches(adj, cand, ~mask, ends):
         tried: list[tuple[int, int]] = []
         while cand:
@@ -157,10 +123,44 @@ def _reach_end(adj: list[int], last: int, mask: int, need: int, ends: int) -> bo
                 if (w_adj & both) == (f_adj & both):
                     break
             else:
-                if _reach_end(adj, bit.bit_length() - 1, mask | bit, need - 1, ends):
+                if _reach_end(adj, bit.bit_length() - 1, mask | bit, need - 1, ends, failed):
                     return True
                 tried.append((w_adj, bit))
+    if failed is not None:
+        failed.add((last, mask))
     return False
+
+
+def _lex_least_path(
+    adj: list[int], cand: int, mask: int, need: int, ends: int
+) -> Optional[list[int]]:
+    """Lex-least simple path on `need` >= 2 vertices outside `mask`, the
+    first in `cand` and the last in `ends`, or None. Each step takes the
+    lowest candidate from which `_reach_end` still reaches the end, so
+    only the first step can fail. One memo serves every step, as the
+    mask fixes how many vertices are still needed. `ends` meets the
+    condition of `_reach_end`, and `cand` is `ends` or the vertices with
+    a neighbor, so that swapping two twins fixes it too."""
+    failed: set[tuple[int, int]] = set()
+    out: list[int] = []
+    for left in range(need - 1, 0, -1):
+        tried: list[tuple[int, int]] = []
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            w = bit.bit_length() - 1
+            if tried and _twin_skip(adj[w], bit, tried):
+                continue
+            if _reach_end(adj, w, mask | bit, left, ends, failed):
+                break
+            tried.append((adj[w], bit))
+        else:
+            return None
+        mask |= bit
+        cand = adj[w] & ~mask
+        out.append(w)
+    hit = cand & ends
+    return [*out, (hit & -hit).bit_length() - 1]
 
 
 def _two_arms(adj: list[int], last: int, mask: int, need: int, hop: int) -> bool:
@@ -190,17 +190,7 @@ def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
     if sum(adj[v].bit_count() for v in active) // 2 < m - 1:
         return None
     # one memo serves every start: the visited mask already holds the start
-    failed: set[tuple[int, int]] = set()
-    tried_starts: list[tuple[int, int]] = []
-    for s in active:
-        bit = 1 << s
-        if _twin_skip(adj[s], bit, tried_starts):
-            continue
-        rest = _extend(adj, s, bit, m - 1, failed=failed)
-        if rest is not None:
-            return [s, *rest]
-        tried_starts.append((adj[s], bit))
-    return None
+    return _lex_least_path(adj, sum(1 << v for v in active), 0, m, -1)
 
 
 def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[int]]:
@@ -219,7 +209,8 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
             continue
         if _twin_skip(adj[s], sbit, tried_starts):
             continue
-        rest = _extend(adj, s, used, length - 1, ends, set())
+        # a fresh memo per phase: `used` and `ends` change with s
+        rest = _lex_least_path(adj, ends, used, length - 1, ends)
         if rest is not None:
             return [s, *rest]
         tried_starts.append((adj[s], sbit))

@@ -20,6 +20,7 @@ from gallai_ramsey import (
     random_gallai,
     verify_embedding,
 )
+from gallai_ramsey import search
 from gallai_ramsey.search import (
     _matching_at_least,
     exists_cycle_through,
@@ -145,6 +146,37 @@ def test_c8_on_hosts_full_of_dead_ends(host, want):
     got = find_mono(c, 1, even_cycle(8))
     assert got is not None and got.vertices == want
     assert verify_embedding(c, got)
+
+
+def two_blobs(size, seed, p=0.4):
+    """2-coloring of K_{2 size}: color 1 holds two random graphs on
+    `size` vertices each, edge probability p, and nothing between them."""
+    rng = random.Random(seed)
+    n = 2 * size
+    assign = {
+        (u, v): 1 if u // size == v // size and rng.random() < p else 2
+        for u in range(n)
+        for v in range(u + 1, n)
+    }
+    return new_coloring(n, 2, assign)
+
+
+def test_path_memo_is_shared_across_starts(monkeypatch):
+    # No P14 fits in components of 13 vertices, so every start fails.
+    # With one memo across starts this host takes 167,193 kernel calls,
+    # with a fresh memo per start 642,378, and with none 15.5 million.
+    calls = 0
+    kernel = search._reach_end
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(search, "_reach_end", counted)
+    assert find_mono(two_blobs(13, 7), 1, path(14)) is None
+    assert calls <= 400_000
+    assert find_mono(two_blobs(12, 7), 1, even_cycle(14)) is None
 
 
 def blow_up(rng, base_n, copies):
@@ -278,7 +310,7 @@ def test_verify_embedding_rejects_bad_certificates():
     assert not verify_embedding(cyc, Embedding(even_cycle(4), 1, (0, 1, 2, 3)))
 
 
-def test_matching_dp_agrees_with_blossom():
+def test_matching_oracle_agrees_with_blossom():
     import networkx as nx
 
     def host(n, edges):
@@ -362,7 +394,7 @@ def test_matching_needs_no_networkx(monkeypatch):
     assert decide_upper(8, "M3,M3")[0].kind == ALL_FORCED
 
 
-def test_matching_on_host_above_dp_limit():
+def test_matching_on_22_vertex_host():
     # 22 vertices: color 1 holds exactly 5 disjoint edges plus noise
     n = 22
     assign = {}
