@@ -4,6 +4,13 @@ A coloring assigns one of k colors (1-based) to every unordered vertex
 pair of K_n. Colors live in a flat triangular array in lexicographic
 pair order (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1); that
 order is also the wire format used by read_coloring/write_coloring.
+
+The rainbow test works on bit-planes. With L = k.bit_length(), plane j
+of vertex v is the mask of the w whose color c(v, w) has binary digit j
+set; the L planes of v are packed into one int, plane j at bits j*n and
+up. Two vertices u, v then see w in different colors exactly where the
+XOR of their packed ints has a bit in some plane, so each pair costs a
+constant number of big-int operations, whatever k is.
 """
 
 from __future__ import annotations
@@ -158,31 +165,48 @@ def new_coloring(n: int, k: int, assignment: PairMap) -> EdgeColoring:
 
 def is_gallai(c: EdgeColoring) -> Union[bool, RainbowWitness]:
     """True if no triangle carries three distinct colors, else the
-    lexicographically least witness triple."""
+    lexicographically least witness triple.
+
+    A pair u < v of color a has a witness w > v when both c(u, w) and
+    c(v, w) differ from a and from each other. The first two conditions
+    are a mask over w; it is copied into each of the L bit-planes (one
+    multiply) and met with the XOR of the packed planes of u and v, which
+    has a bit in some plane of w exactly when c(u, w) != c(v, w). That is
+    a constant number of big-int operations per pair; only a hit folds
+    the planes back to find its least w.
+    """
     if len(set(c.colors)) <= 2:
         return True
     n = c.n
     adj = c.color_adjacency()
+    planes = c.k.bit_length()
+    packed = [0] * n
+    for a in range(1, c.k + 1):
+        for j in range(planes):
+            if a >> j & 1:
+                shift = j * n
+                for v, row in enumerate(adj[a]):
+                    packed[v] |= row << shift
+    rep = sum(1 << (j * n) for j in range(planes))
     full = (1 << n) - 1
+    highs = [full & ~((2 << v) - 1) for v in range(n)]
     cols = c.colors
     idx = 0
     for u in range(n - 1):
+        pu = packed[u]
         for v in range(u + 1, n):
-            cuv = cols[idx]
+            adj_a = adj[cols[idx]]
             idx += 1
-            if v + 1 >= n:
-                continue
-            # candidate w > v with both edges (u,w), (v,w) off-color cuv
-            high = full & ~((1 << (v + 1)) - 1)
-            cand = high & ~adj[cuv][u] & ~adj[cuv][v]
+            cand = highs[v] & ~(adj_a[u] | adj_a[v])
             if not cand:
                 continue
-            same = 0
-            for a in range(1, c.k + 1):
-                same |= adj[a][u] & adj[a][v]
-            cand &= ~same
-            if cand:
-                w = (cand & -cand).bit_length() - 1
+            hit = (pu ^ packed[v]) & cand * rep
+            if hit:
+                ws = 0
+                for j in range(planes):
+                    ws |= hit >> (j * n)
+                ws &= full
+                w = (ws & -ws).bit_length() - 1
                 return RainbowWitness((u, v, w))
     return True
 

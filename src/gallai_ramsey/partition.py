@@ -174,7 +174,15 @@ def validate_partition(
     c: EdgeColoring, parts: Sequence[Iterable[int]]
 ) -> Union[GallaiPartition, ViolationReport]:
     """Check the two structure conditions directly on a candidate
-    partition, keeping the caller's part order."""
+    partition, keeping the caller's part order.
+
+    Part pairs are scanned in order on class masks. For parts i < j, let
+    col be the color of the edge between their least vertices. The pair
+    is homogeneous exactly when mask_j & ~adj[col][x] is empty for every
+    x in part i; otherwise the first such x and the lowest bit y of that
+    set give the first edge (x, y), in row-major order over the two
+    parts, whose color differs from col.
+    """
     normalized = [tuple(sorted(set(p))) for p in parts]
     if len(normalized) < 2:
         raise NotAPartitionError("need at least 2 parts")
@@ -190,23 +198,26 @@ def validate_partition(
     if covered != set(range(c.n)):
         raise NotAPartitionError(f"parts must cover exactly the vertices [0, {c.n})")
 
+    adj = c.color_adjacency()
+    masks = [sum(1 << v for v in p) for p in normalized]
     pair_color: dict[tuple[int, int], int] = {}
     seen_colors: dict[int, tuple[int, int]] = {}
     for i, j in combinations(range(len(normalized)), 2):
-        first_edge = None
-        for u in normalized[i]:
-            for v in normalized[j]:
-                col = c.color(u, v)
-                if first_edge is None:
-                    first_edge = (u, v, col)
-                elif col != first_edge[2]:
-                    return ViolationReport(
-                        kind="non_homogeneous",
-                        part_pair=(i, j),
-                        witness_edges=(first_edge, (u, v, col)),
-                    )
-        pair_color[(i, j)] = first_edge[2]
-        seen_colors.setdefault(first_edge[2], (first_edge[0], first_edge[1]))
+        u, v = normalized[i][0], normalized[j][0]
+        col = c.color(u, v)
+        adj_col = adj[col]
+        mask_j = masks[j]
+        for x in normalized[i]:
+            off = mask_j & ~adj_col[x]
+            if off:
+                y = (off & -off).bit_length() - 1
+                return ViolationReport(
+                    kind="non_homogeneous",
+                    part_pair=(i, j),
+                    witness_edges=((u, v, col), (x, y, c.color(x, y))),
+                )
+        pair_color[(i, j)] = col
+        seen_colors.setdefault(col, (u, v))
     if len(seen_colors) > 2:
         witnesses = tuple(
             (u, v, col) for col, (u, v) in sorted(seen_colors.items())

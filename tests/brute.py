@@ -7,8 +7,60 @@ bitmask, memoization or twin-skipping machinery.
 
 from itertools import combinations, product
 
-from gallai_ramsey import EdgeColoring, contains_required, is_gallai
+from gallai_ramsey import (
+    EdgeColoring,
+    GallaiPartition,
+    RainbowWitness,
+    ViolationReport,
+    contains_required,
+    is_gallai,
+)
 from gallai_ramsey.targets import CYCLE, MATCHING, PATH, TargetGraph
+
+
+def brute_rainbow(c: EdgeColoring):
+    """True, or the lex-least triple u < v < w whose three edges carry
+    three distinct colors."""
+    for u, v, w in combinations(range(c.n), 3):
+        if len({c.color(u, v), c.color(u, w), c.color(v, w)}) == 3:
+            return RainbowWitness((u, v, w))
+    return True
+
+
+def brute_validate_partition(c: EdgeColoring, parts):
+    """validate_partition on a valid vertex partition, by reading every
+    cross edge of every part pair in row-major order."""
+    parts = [tuple(sorted(set(p))) for p in parts]
+    pair_color = {}
+    seen_colors = {}
+    for i, j in combinations(range(len(parts)), 2):
+        first_edge = None
+        for u in parts[i]:
+            for v in parts[j]:
+                col = c.color(u, v)
+                if first_edge is None:
+                    first_edge = (u, v, col)
+                elif col != first_edge[2]:
+                    return ViolationReport(
+                        kind="non_homogeneous",
+                        part_pair=(i, j),
+                        witness_edges=(first_edge, (u, v, col)),
+                    )
+        pair_color[(i, j)] = first_edge[2]
+        seen_colors.setdefault(first_edge[2], first_edge[:2])
+    if len(seen_colors) > 2:
+        return ViolationReport(
+            kind="extra_between_colors",
+            part_pair=None,
+            witness_edges=tuple((u, v, col) for col, (u, v) in sorted(seen_colors.items())),
+        )
+    return GallaiPartition(
+        parts=tuple(parts),
+        between_colors=tuple(sorted(seen_colors)),
+        pair_color=pair_color,
+        n=c.n,
+        k=c.k,
+    )
 
 
 def brute_find_sequence(c: EdgeColoring, color: int, target: TargetGraph):

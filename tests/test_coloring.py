@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brute import brute_rainbow
 from gallai_ramsey import (
     ColorOutOfRangeError,
     EdgeColoring,
@@ -109,6 +110,31 @@ def test_is_gallai_permutation_invariant():
             n, k, {(perm[u], perm[v]): c.color(u, v) for u in range(n) for v in range(u + 1, n)}
         )
         assert (is_gallai(c) is True) == (is_gallai(relabeled) is True)
+
+
+def test_is_gallai_matches_brute_force_oracle():
+    # k up to 10 packs up to four bit-planes; palettes drawn from part of
+    # [1, k] leave colors unused
+    rng = random.Random(59)
+    small = []
+    for _ in range(1500):
+        n, k = rng.randint(2, 12), rng.randint(1, 10)
+        palette = rng.sample(range(1, k + 1), rng.randint(1, k))
+        small.append(EdgeColoring(n, k, [rng.choice(palette) for _ in range(n * (n - 1) // 2)]))
+    # one recolored edge of a larger Gallai host: non-Gallai inputs at scale
+    large = []
+    for _ in range(40):
+        n, k = rng.randint(20, 80), rng.randint(3, 10)
+        colors = list(random_gallai(n, k, rng.randrange(2 ** 32)).colors)
+        colors[rng.randrange(len(colors))] = rng.randint(1, k)
+        large.append(EdgeColoring(n, k, colors))
+    for hosts in (small, large):
+        verdicts = set()
+        for c in hosts:
+            got = is_gallai(c)
+            assert got == brute_rainbow(c), (c.n, c.k, c.colors)
+            verdicts.add(got is True)
+        assert verdicts == {True, False}
 
 
 def test_random_gallai_is_gallai():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brute import brute_gallai_partition
+from brute import brute_gallai_partition, brute_validate_partition
 from gallai_ramsey import (
     EdgeColoring,
     GallaiPartition,
@@ -215,6 +215,31 @@ def test_partition_matches_brute_force_oracle():
         assert got == brute_gallai_partition(c)
         outcomes.add(p is None)
     assert outcomes == {True, False}
+
+
+def test_validate_partition_matches_brute_force_oracle():
+    # the computed partition, a random cut, and the computed partition
+    # with one part split into singletons (homogeneous pairs, often
+    # three or more between colors)
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(80):
+        n, k = rng.randint(3, 40), rng.randint(1, 6)
+        c = random_gallai(n, k, rng.randrange(2 ** 32))
+        computed = gallai_partition(c).parts
+        m = rng.randint(2, n)
+        label = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+        rng.shuffle(label)
+        cut = [[v for v in range(n) if label[v] == i] for i in range(m)]
+        split = rng.randrange(len(computed))
+        refined = [p for i, p in enumerate(computed) if i != split]
+        refined += [[v] for v in computed[split]]
+        rng.shuffle(refined)
+        for parts in (computed, cut, refined):
+            got = validate_partition(c, parts)
+            assert got == brute_validate_partition(c, parts)
+            outcomes.add(got.kind if isinstance(got, ViolationReport) else "valid")
+    assert outcomes == {"valid", "non_homogeneous", "extra_between_colors"}
 
 
 def test_partition_deterministic():
