@@ -144,12 +144,12 @@ def parse_spec_string(text: str) -> TargetSpec:
     try:
         n = int(fields["n"])
         indices = [int(part) for part in fields["i"].split(",") if part.strip()]
+        k = int(fields["k"]) if "k" in fields else len(indices)
     except ValueError as e:
         raise InvalidSpecError(f"bad spec value: {e}")
     head = fields.get("head", HEAD_CYCLE).lower()
     if head in ("long_path", "longpath"):
         head = HEAD_PATH
-    k = int(fields["k"]) if "k" in fields else len(indices)
     return sorted_spec(indices, n=n, k=k, head=head)
 
 

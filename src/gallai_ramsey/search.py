@@ -1,17 +1,16 @@
 """Detection of monochromatic paths, even cycles and matchings inside
 one color class of an edge coloring.
 
-All searches run over bitmask adjacency (one int per vertex). Each
-target kind is an exact yes/no oracle plus a lex-least loop over it, so
-the first hit is the lexicographically least embedding and certificates
-are reproducible. For paths and cycles the oracle is one bool kernel,
-`_reach_end`: can a simple path ending at a given vertex take so many
-more vertices, the last one in a mask of allowed ends? `find_mono`
-takes at each step the lowest candidate from which it still reaches the
-end. The verifier's through-edge checks ask it directly for cycles, and
-for paths through `_two_arms`, which grows two arms from the ends of
-the edge. Four devices keep the kernel small; each only drops
-candidates or states that cannot lead to a hit:
+All searches run over bitmask adjacency (one int per vertex) and return
+the lexicographically least embedding, so certificates are
+reproducible. Paths and cycles share one kernel, `_reach_end`: can a
+simple path ending at a given vertex take so many more vertices, the
+last one in a mask of allowed ends? `find_mono` has it record its first
+hit. The verifier's through-edge checks only ask whether there is one:
+directly for cycles, and for paths through `_two_arms`, which grows two
+arms from the ends of the edge. The kernel tries candidates lowest
+first, and four devices keep it small; each only drops candidates or
+states that cannot lead to a hit, so the first hit is the lex-least:
 
 * after a candidate fails, later candidates with the same class
   neighborhood are skipped. Swapping two such twins is an automorphism
@@ -85,10 +84,12 @@ def _reach_end(
     need: int,
     ends: int,
     failed: Optional[set[tuple[int, int]]] = None,
+    out: Optional[list[int]] = None,
 ) -> bool:
     """Can a simple path ending at `last` take `need` more vertices from
     outside `mask` (the vertices already used, or ruled out), the final
-    one in `ends`? An `ends` of -1 leaves the end free.
+    one in `ends`? An `ends` of -1 leaves the end free. On a hit, the
+    lex-least such vertices are appended to `out` when given, last first.
 
     The twin skip needs swapping two candidates to fix every input, so
     callers keep `ends` at -1 or the neighborhood of a vertex in `mask`.
@@ -104,10 +105,16 @@ def _reach_end(
             bit = cand & -cand
             cand ^= bit
             if adj[bit.bit_length() - 1] & ends:
+                if out is not None:
+                    hit = adj[bit.bit_length() - 1] & ends
+                    out += ((hit & -hit).bit_length() - 1, bit.bit_length() - 1)
                 return True
         return False
     if need < 2:
-        return need == 0 or (cand & ends) != 0
+        hit = cand & ends
+        if need and hit and out is not None:
+            out.append((hit & -hit).bit_length() - 1)
+        return need == 0 or hit != 0
     if failed is not None and (last, mask) in failed:
         return False
     # dead-end cut: the final vertex must be a free vertex of `ends` that
@@ -123,44 +130,14 @@ def _reach_end(
                 if (w_adj & both) == (f_adj & both):
                     break
             else:
-                if _reach_end(adj, bit.bit_length() - 1, mask | bit, need - 1, ends, failed):
+                if _reach_end(adj, bit.bit_length() - 1, mask | bit, need - 1, ends, failed, out):
+                    if out is not None:
+                        out.append(bit.bit_length() - 1)
                     return True
                 tried.append((w_adj, bit))
     if failed is not None:
         failed.add((last, mask))
     return False
-
-
-def _lex_least_path(
-    adj: list[int], cand: int, mask: int, need: int, ends: int
-) -> Optional[list[int]]:
-    """Lex-least simple path on `need` >= 2 vertices outside `mask`, the
-    first in `cand` and the last in `ends`, or None. Each step takes the
-    lowest candidate from which `_reach_end` still reaches the end, so
-    only the first step can fail. One memo serves every step, as the
-    mask fixes how many vertices are still needed. `ends` meets the
-    condition of `_reach_end`, and `cand` is `ends` or the vertices with
-    a neighbor, so that swapping two twins fixes it too."""
-    failed: set[tuple[int, int]] = set()
-    out: list[int] = []
-    for left in range(need - 1, 0, -1):
-        tried: list[tuple[int, int]] = []
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            if tried and _twin_skip(adj[w], bit, tried):
-                continue
-            if _reach_end(adj, w, mask | bit, left, ends, failed):
-                break
-            tried.append((adj[w], bit))
-        else:
-            return None
-        mask |= bit
-        cand = adj[w] & ~mask
-        out.append(w)
-    hit = cand & ends
-    return [*out, (hit & -hit).bit_length() - 1]
 
 
 def _two_arms(adj: list[int], last: int, mask: int, need: int, hop: int) -> bool:
@@ -190,7 +167,17 @@ def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
     if sum(adj[v].bit_count() for v in active) // 2 < m - 1:
         return None
     # one memo serves every start: the visited mask already holds the start
-    return _lex_least_path(adj, sum(1 << v for v in active), 0, m, -1)
+    failed: set[tuple[int, int]] = set()
+    tried_starts: list[tuple[int, int]] = []
+    out: list[int] = []
+    for s in active:
+        sbit = 1 << s
+        if _twin_skip(adj[s], sbit, tried_starts):
+            continue
+        if _reach_end(adj, s, sbit, m - 1, -1, failed, out):
+            return [s, *reversed(out)]
+        tried_starts.append((adj[s], sbit))
+    return None
 
 
 def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[int]]:
@@ -198,6 +185,7 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
     if len(active) < length:
         return None
     tried_starts: list[tuple[int, int]] = []
+    out: list[int] = []
     # phase s searches cycles whose minimum vertex is s, so every later
     # vertex lies above s and the first hit is lex-least overall
     for s in active:
@@ -210,9 +198,8 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
         if _twin_skip(adj[s], sbit, tried_starts):
             continue
         # a fresh memo per phase: `used` and `ends` change with s
-        rest = _lex_least_path(adj, ends, used, length - 1, ends)
-        if rest is not None:
-            return [s, *rest]
+        if _reach_end(adj, s, used, length - 1, ends, set(), out):
+            return [s, *reversed(out)]
         tried_starts.append((adj[s], sbit))
     return None
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring, RainbowWitness, is_gallai
@@ -81,13 +81,7 @@ class SearchStats:
     elapsed: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "prunes_rainbow": self.prunes_rainbow,
-            "prunes_mono": self.prunes_mono,
-            "prunes_symmetry": self.prunes_symmetry,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 class _BudgetExhausted(Exception):
@@ -354,12 +348,12 @@ def decide_upper(
     """Exhaustively decide whether every Gallai k-coloring of K_n
     contains some per-color target.
 
-    Returns AllForced, or BadColoring with a concrete avoiding coloring,
-    or BudgetExceeded once more than `budget` (edge, color) candidates
-    have been tried in the sequential search order. With threads > 1
-    the tree is split into subtrees run by at most that many worker
-    processes; the verdict and witness are those of the sequential run,
-    and so are the counters unless the budget runs out.
+    Returns a `Verdict` of kind ALL_FORCED, or BAD_COLORING with a
+    concrete avoiding coloring, or BUDGET once more than `budget` (edge,
+    color) candidates have been tried in the sequential search order.
+    With threads > 1 the tree is split into subtrees run by at most that
+    many worker processes; the verdict and witness are those of the
+    sequential run, and so are the counters unless the budget runs out.
     """
     targets = _as_targets(spec_or_targets)
     if n < 2:

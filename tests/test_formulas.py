@@ -62,6 +62,9 @@ def test_parse_spec_string():
         parse_spec_string("n=3 i=2,2 bogus=1")
     with pytest.raises(InvalidSpecError):
         parse_spec_string("k=3 head=cycle")
+    for bad in ("n=x i=1,1", "n=3 i=1,x", "n=3 k=x i=1,1"):
+        with pytest.raises(InvalidSpecError, match="bad spec value"):
+            parse_spec_string(bad)
 
 
 def test_predicted_gr_examples():

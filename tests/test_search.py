@@ -179,6 +179,42 @@ def test_path_memo_is_shared_across_starts(monkeypatch):
     assert find_mono(two_blobs(12, 7), 1, even_cycle(14)) is None
 
 
+LONG_PATHS = {
+    (59, 3, 3391062619): (
+        0, 2, 1, 3, 4, 5, 7, 6, 33, 8, 10, 9, 12, 14, 13, 15, 28, 11, 29, 16,
+        30, 17, 31, 18, 32, 19, 34, 20, 21, 22, 23, 35, 24, 36, 25, 37, 26, 27, 38, 39,
+    ),
+    (102, 3, 1741422554): (
+        0, 60, 1, 101, 16, 18, 17, 19, 22, 20, 23, 21, 24, 53, 25, 54, 26, 55, 27, 56,
+        28, 57, 29, 58, 30, 59, 31, 61, 32, 62, 33, 63, 34, 35, 64, 36, 65, 37, 40, 66,
+    ),
+}
+
+
+def test_long_paths_are_the_kernels_first_hit(monkeypatch):
+    # The lex-least P40 is read off the kernel's first hit. Rebuilding it
+    # one vertex at a time, each step proved again from scratch, took 742
+    # kernel calls on the first host.
+    calls = 0
+    kernel = search._reach_end
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(search, "_reach_end", counted)
+    counts = []
+    for host, vertices in LONG_PATHS.items():
+        c = random_gallai(*host)
+        calls = 0
+        emb = find_mono(c, 1, path(40))
+        assert emb.vertices == vertices
+        assert verify_embedding(c, emb)
+        counts.append(calls)
+    assert counts[0] <= 2 * 40
+
+
 def blow_up(rng, base_n, copies):
     """Random graph on `base_n` vertices with each vertex replaced by 1 to
     `copies` twins: equal neighborhoods, the copies of a vertex pairwise
