@@ -8,9 +8,16 @@ simple path ending at a given vertex take so many more vertices, the
 last one in a mask of allowed ends? `find_mono` has it record its first
 hit. The verifier's through-edge checks only ask whether there is one:
 directly for cycles, and for paths through `_two_arms`, which grows two
-arms from the ends of the edge. The kernel tries candidates lowest
-first, and four devices keep it small; each only drops candidates or
-states that cannot lead to a hit, so the first hit is the lex-least:
+arms from the ends of the edge. Both start at the end with fewer free
+neighbors, the higher vertex on a tie. A path or cycle through the edge
+holds both ends, so the choice orders the search but cannot change the
+answer, and the tie rule makes it ignore the order of the arguments.
+The verifier colors edges in lex order: at (u, v) with u < v, every
+class neighbor of v but u lies below u, so v is usually the narrow end.
+
+The kernel tries candidates lowest first, and four devices keep it
+small; each only drops candidates or states that cannot lead to a hit,
+so the first hit is the lex-least:
 
 * after a candidate fails, later candidates with the same class
   neighborhood are skipped. Swapping two such twins is an automorphism
@@ -408,14 +415,33 @@ def verify_embedding(c: EdgeColoring, e: Embedding) -> bool:
 # so any fresh copy must use that edge.
 
 
+def _narrow_end(adj: list[int], u: int, v: int, mask: int) -> tuple[int, int]:
+    """The ends of edge (u,v), the one with fewer neighbors outside
+    `mask` first; on a tie the higher vertex, so the order of u and v
+    does not matter."""
+    du = (adj[u] & ~mask).bit_count()
+    dv = (adj[v] & ~mask).bit_count()
+    if du < dv or (du == dv and u > v):
+        return u, v
+    return v, u
+
+
 def exists_path_through(adj: list[int], u: int, v: int, m: int) -> bool:
-    # a path through edge (u,v) is two disjoint arms, one from each end
-    return _two_arms(adj, u, (1 << u) | (1 << v), m - 2, v)
+    # a path through edge (u,v) is two disjoint arms, one from each end.
+    # The two ends play the same part, so the arm grown step by step can
+    # sit at either: it sits at the narrow end, and the other end is `hop`
+    mask = (1 << u) | (1 << v)
+    last, hop = _narrow_end(adj, u, v, mask)
+    return _two_arms(adj, last, mask, m - 2, hop)
 
 
 def exists_cycle_through(adj: list[int], u: int, v: int, length: int) -> bool:
-    # a cycle through edge (u,v) is a u-to-v path on `length` vertices
-    return _reach_end(adj, u, (1 << u) | (1 << v), length - 2, adj[v])
+    # a cycle through edge (u,v) is a path on `length` vertices between
+    # its ends; read backwards it is one from the other end, so it is
+    # walked from the narrow end
+    mask = (1 << u) | (1 << v)
+    last, other = _narrow_end(adj, u, v, mask)
+    return _reach_end(adj, last, mask, length - 2, adj[other])
 
 
 def exists_matching_with_edge(

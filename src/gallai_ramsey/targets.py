@@ -83,9 +83,16 @@ def parse_target(name: str) -> TargetGraph:
 
 
 def parse_target_list(text) -> list[TargetGraph]:
-    """Parse "C6,C6,P3" or an iterable of names into target graphs."""
+    """Parse "C6,C6,P3" or an iterable of names into target graphs.
+
+    An empty entry such as the middle one of "C6,,C6" raises ValueError
+    rather than being dropped: the list length is the palette size.
+    """
     if isinstance(text, str):
-        names = [part for part in text.split(",") if part.strip()]
+        names = text.split(",") if text.strip() else []
+        for pos, part in enumerate(names, 1):
+            if not part.strip():
+                raise ValueError(f"empty target at position {pos} of {text!r}")
     else:
         names = list(text)
     if not names:

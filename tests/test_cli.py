@@ -141,6 +141,9 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # missing -k
     code, _, err = run(capsys, "verify-upper", "-N", "4", "--targets", "C5,C5")
     assert code == 2  # odd cycles are not searchable targets
+    code, _, err = run(capsys, "verify-upper", "-N", "8", "--targets", "C6,,C6")
+    assert code == 2  # an empty entry is not a dropped color
+    assert "position 2" in err
 
 
 def test_unknown_flags_exit_2(capsys):

@@ -91,13 +91,15 @@ def test_matches_exhaustive_enumeration():
     [
         (7, "C4,C4,C4", 10 ** 9, ALL_FORCED, (199_134, 84_366, 48_382, 9)),
         (8, "P6,P6", 10 ** 9, ALL_FORCED, (32_022, 0, 16_011, 1)),
+        (8, "C6,P6", 10 ** 9, ALL_FORCED, (151_420, 0, 75_710, 1)),
+        (8, "P7,P5", 10 ** 9, ALL_FORCED, (24_908, 0, 12_454, 1)),
         (10, "M3,M3,M3", 100_000, BUDGET, (100_001, 24_757, 41_895, 6)),
         (7, "P5,P5,P5,P3", DEFAULT_BUDGET, ALL_FORCED, (229_940, 117_685, 54_724, 47)),
         (7, "C4,C4,C4,C4", DEFAULT_BUDGET, BAD_COLORING, (6_791, 3_329, 1_714, 42)),
     ],
 )
 def test_search_statistics_are_pinned(n, targets, budget, kind, counts):
-    # the exact tree size and prune counts of five benchmark cases; a
+    # the exact tree size and prune counts of seven benchmark cases; a
     # change to the search loop that alters any of them changes the tree
     verdict, stats = decide_upper(n, targets, budget)
     assert verdict.kind == kind
