@@ -47,37 +47,34 @@ EXIT_BUDGET = 3
 _USAGE_ERRORS = (ValueError, OSError)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gallai",
         description="Gallai colorings of complete graphs: constructions, "
         "partitions, closed-form values and exhaustive verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
+    def cmd(name: str, help_text: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(
-            name,
-            help=help_text,
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+            name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        commands[name] = p
+        p.set_defaults(run=run, usage=p.format_usage)
         return p
 
-    p = cmd("construct", "build the layered lower-bound coloring for a spec")
+    p = cmd("construct", "build the layered lower-bound coloring for a spec", _cmd_construct)
     p.add_argument("--spec", required=True, help='e.g. "n=3 k=3 head=cycle i=2,2,2"')
     p.add_argument("-o", "--output", metavar="FILE", help="write the coloring here")
 
-    p = cmd("check", "search a coloring for the required monochromatic targets")
+    p = cmd("check", "search a coloring for the required monochromatic targets", _cmd_check)
     p.add_argument("--coloring", required=True, metavar="FILE")
     p.add_argument("--targets", required=True, help='e.g. "C6,C6,P3", one per color')
 
-    p = cmd("partition", "compute a Gallai partition of a coloring")
+    p = cmd("partition", "compute a Gallai partition of a coloring", _cmd_partition)
     p.add_argument("--coloring", required=True, metavar="FILE")
 
-    p = cmd("formula", "evaluate closed-form (Gallai-)Ramsey values")
+    p = cmd("formula", "evaluate closed-form (Gallai-)Ramsey values", _cmd_formula)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--gr", metavar="SPEC", help="predicted value for a spec string")
     group.add_argument(
@@ -88,11 +85,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     p.add_argument("-k", "--colors", type=int, default=None, help="color count for --known")
 
-    p = cmd("verify-lower", "build a spec's construction and certify it avoids all targets")
+    p = cmd(
+        "verify-lower",
+        "build a spec's construction and certify it avoids all targets",
+        _cmd_verify_lower,
+    )
     p.add_argument("--spec", required=True)
     p.add_argument("-o", "--output", metavar="FILE", help="write the witness coloring here")
 
-    p = cmd("verify-upper", "exhaustively verify that K_N forces some target")
+    p = cmd("verify-upper", "exhaustively verify that K_N forces some target", _cmd_verify_upper)
     p.add_argument("-N", type=int, required=True, dest="n", help="vertex count")
     p.add_argument("--targets", required=True, help='e.g. "P5,P5", one per color')
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node limit")
@@ -100,19 +101,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--no-symmetry", action="store_true", help="disable symmetry pruning")
     p.add_argument("-o", "--output", metavar="FILE", help="write a bad coloring here if found")
 
-    p = cmd("compute-gr", "lower construction plus upper search at the predicted value")
+    p = cmd(
+        "compute-gr",
+        "lower construction plus upper search at the predicted value",
+        _cmd_compute_gr,
+    )
     p.add_argument("--spec", required=True, help='e.g. "n=3 k=3 head=cycle i=2,2,2"')
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node limit")
     p.add_argument("--threads", type=int, default=1, help="parallel subtree workers")
     p.add_argument("-o", "--output", metavar="FILE", help="write the lower witness here")
 
-    p = cmd("random", "generate a random Gallai coloring")
+    p = cmd("random", "generate a random Gallai coloring", _cmd_random)
     p.add_argument("-n", type=int, required=True, help="vertex count")
     p.add_argument("-k", type=int, required=True, help="palette size")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("-o", "--output", metavar="FILE", help="write the coloring here")
 
-    return parser, commands
+    return parser
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -173,12 +178,9 @@ def _cmd_partition(args) -> int:
     if part is None:
         _emit(args, {"partition": None}, "none")
         return EXIT_NEGATIVE
-    if args.json:
-        print(json.dumps(part.to_json()))
-    else:
-        for i, block in enumerate(part.parts):
-            print(f"part {i}: {' '.join(map(str, block))}")
-        print(f"between colors: {' '.join(map(str, part.between_colors))}")
+    lines = [f"part {i}: {' '.join(map(str, block))}" for i, block in enumerate(part.parts)]
+    lines.append(f"between colors: {' '.join(map(str, part.between_colors))}")
+    _emit(args, part.to_json(), "\n".join(lines))
     return EXIT_OK
 
 
@@ -245,12 +247,10 @@ def _cmd_verify_upper(args) -> int:
     if verdict.witness is not None and args.output:
         _write_coloring_output(verdict.witness, args.output)
         witness_file = args.output
-    if args.json:
-        print(json.dumps(report_to_json(args.n, targets, verdict, stats, witness_file)))
-    else:
-        print(f"verdict: {verdict.kind} (nodes={stats.nodes}, {stats.elapsed:.2f}s)")
-        if verdict.witness is not None and not args.output:
-            sys.stdout.write(write_coloring(verdict.witness))
+    human = f"verdict: {verdict.kind} (nodes={stats.nodes}, {stats.elapsed:.2f}s)"
+    if verdict.witness is not None and not args.output:
+        human += "\n" + write_coloring(verdict.witness).removesuffix("\n")
+    _emit(args, report_to_json(args.n, targets, verdict, stats, witness_file), human)
     if verdict.kind == ALL_FORCED:
         return EXIT_OK
     if verdict.kind == BAD_COLORING:
@@ -292,29 +292,16 @@ def _cmd_random(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "check": _cmd_check,
-    "partition": _cmd_partition,
-    "formula": _cmd_formula,
-    "verify-lower": _cmd_verify_lower,
-    "verify-upper": _cmd_verify_upper,
-    "compute-gr": _cmd_compute_gr,
-    "random": _cmd_random,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
-        sys.stderr.write(commands[args.command].format_usage())
+        sys.stderr.write(args.usage())
         return EXIT_USAGE
 
 

@@ -10,8 +10,6 @@ certificates always reference the caller's palette.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .coloring import EdgeColoring
 from .formulas import TargetSpec, predicted_gr
 
@@ -38,20 +36,8 @@ def build_lower_bound_coloring(spec: TargetSpec) -> EdgeColoring:
     It is rainbow-triangle-free and has exactly predicted_gr(spec) - 1
     vertices; both properties are what make it a lower-bound witness.
     """
-    sizes = layer_sizes(spec)
-    n = sum(sizes)
-    # block boundaries: block(v) = index of the layer containing v
-    prefix = []
-    acc = 0
-    for s in sizes:
-        acc += s
-        prefix.append(acc)
-    colors = []
-    block = [bisect_right(prefix, v) for v in range(n)]
-    for u in range(n - 1):
-        bu = block[u]
-        for v in range(u + 1, n):
-            colors.append(max(bu, block[v]) + 1)
-    coloring = EdgeColoring(n, spec.k, colors)
+    block = [j for j, vertices in enumerate(layers(spec)) for _ in vertices]
+    n = len(block)
+    colors = [max(block[u], block[v]) + 1 for u in range(n - 1) for v in range(u + 1, n)]
     assert n == predicted_gr(spec) - 1
-    return coloring
+    return EdgeColoring(n, spec.k, colors)

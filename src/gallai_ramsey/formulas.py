@@ -6,6 +6,12 @@ The target family is parameterized by n >= 3: colors get paths on
 i <= n-2), and index n-1 means the head target, either the cycle C_{2n}
 or the long path P_{2n+1}. A TargetSpec fixes n, the color count k, a
 non-increasing index per color, and the head interpretation.
+
+known_gr holds one rule per family of named targets. With h = m // 2
+for P_m and C_m, and h = s for the matching M_s, the construction gives
+GR_k >= (h-1)k + h + 1, plus one for paths on an odd number of vertices.
+The rule is exact through P9, C8 and M4 (C4 alone is k + 4); past those
+it is the lower bound, paired with the general upper bound (h-1)k + 3h.
 """
 
 from __future__ import annotations
@@ -105,20 +111,14 @@ def sorted_spec(
     """Normalize raw per-color indices into a sorted TargetSpec.
 
     The sort is stable and descending; the recorded permutation maps the
-    sorted color order back to the caller's colors.
+    sorted color order back to the caller's colors. TargetSpec checks the
+    index count and range.
     """
     raw = list(indices)
-    if k is None:
-        k = len(raw)
-    if len(raw) != k:
-        raise InvalidSpecError(f"{len(raw)} indices for k={k} colors")
-    for i in raw:
-        if not 0 <= i <= n - 1:
-            raise IndexOutOfRangeError(f"index {i} outside [0, {n - 1}]")
-    order = sorted(range(k), key=lambda j: (-raw[j], j))
+    order = sorted(range(len(raw)), key=lambda j: (-raw[j], j))
     return TargetSpec(
         n=n,
-        k=k,
+        k=len(raw) if k is None else k,
         indices=tuple(raw[j] for j in order),
         head=head,
         source_colors=tuple(j + 1 for j in order),
@@ -141,9 +141,13 @@ def parse_spec_string(text: str) -> TargetSpec:
         fields[key] = value
     if "n" not in fields or "i" not in fields:
         raise InvalidSpecError("spec needs at least n=<int> and i=<list>")
+    items = fields["i"].split(",")
+    for pos, part in enumerate(items, 1):
+        if not part:
+            raise InvalidSpecError(f"empty index at position {pos} of {fields['i']!r}")
     try:
         n = int(fields["n"])
-        indices = [int(part) for part in fields["i"].split(",") if part.strip()]
+        indices = [int(part) for part in items]
         k = int(fields["k"]) if "k" in fields else len(indices)
     except ValueError as e:
         raise InvalidSpecError(f"bad spec value: {e}")
@@ -205,10 +209,13 @@ def known_gr(name: str, k: int) -> Union[int, Bounds]:
     """Gallai-Ramsey value GR_k for a named target, from the cited
     closed forms.
 
-    Returns an exact integer where a formula pins the value, or a
-    (lower, upper) pair where only the construction lower bound and the
-    general upper bound are available. Raises OutOfHypothesesError for
-    targets no cited statement covers.
+    Paths, even cycles and matchings follow one rule each: with h = m // 2
+    for P_m and C_m and h = s for M_s, the value is (h-1)k + h + 1, plus
+    one for odd paths, exact through P9, C8 and M4 (C4 is k + 4). Past
+    those it is a (lower, upper) pair: that construction lower bound and
+    the general upper bound (h-1)k + 3h. Odd cycles through C15 and K3
+    have their own forms. Raises OutOfHypothesesError for targets no
+    cited statement covers.
     """
     if k < 1:
         raise OutOfHypothesesError(f"need k >= 1, got {k}")
@@ -227,21 +234,9 @@ def known_gr(name: str, k: int) -> Union[int, Bounds]:
     if letter == "P":
         if size < 3:
             raise OutOfHypothesesError(f"no closed form for P{size}")
-        if size <= 6:
-            return ((size - 2) // 2) * k + (size + 1) // 2 + 1
-        if size == 7:
-            return 2 * k + 5
-        if size == 8:
-            return 3 * k + 5
-        if size == 9:
-            return 3 * k + 6
-        # construction lower bound vs the general path upper bound
-        half = size // 2
-        lower = (half - 1) * k + half + (1 if size % 2 == 0 else 2)
-        upper = ((size - 2) // 2) * k + 3 * half
-        return lower, upper
-
-    if letter == "C":
+        half, exact_through = size // 2, 9
+        lower = (half - 1) * k + half + 1 + size % 2
+    elif letter == "C":
         if size % 2 == 1:
             half = (size - 1) // 2
             if 2 <= half <= 7:
@@ -249,18 +244,13 @@ def known_gr(name: str, k: int) -> Union[int, Bounds]:
             raise OutOfHypothesesError(f"no closed form for the odd cycle C{size}")
         if size == 4:
             return k + 4
-        if size == 6:
-            return 2 * k + 4
-        if size == 8:
-            return 3 * k + 5
-        if size >= 10:
-            half = size // 2
-            return (half - 1) * k + half + 1, (half - 1) * k + 3 * half
-        raise OutOfHypothesesError(f"no closed form for C{size}")
-
-    # matchings
-    if size in (3, 4):
-        return (size - 1) * k + size + 1
-    if size >= 5:
-        return (size - 1) * k + size + 1, (size - 1) * k + 3 * size
-    raise OutOfHypothesesError(f"no closed form for M{size}")
+        if size < 6:
+            raise OutOfHypothesesError(f"no closed form for C{size}")
+        half, exact_through = size // 2, 8
+        lower = (half - 1) * k + half + 1
+    else:
+        if size < 3:
+            raise OutOfHypothesesError(f"no closed form for M{size}")
+        half, exact_through = size, 4
+        lower = (size - 1) * k + size + 1
+    return lower if size <= exact_through else (lower, (half - 1) * k + 3 * half)

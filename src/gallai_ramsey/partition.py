@@ -141,33 +141,16 @@ def gallai_partition(c: EdgeColoring) -> Optional[GallaiPartition]:
     a best-effort diagnostic. Candidate between-color sets are tried in
     ascending lexicographic order and the first hit is returned, so the
     result is deterministic even though Gallai partitions are not unique.
+    The fixpoint's parts are built into a partition by
+    `validate_partition`, which accepts them: each part pair is joined in
+    one color, and at most two colors lie between parts.
     """
     used = c.used_colors()
-    candidates = sorted(
-        [(a,) for a in used] + [pair for pair in combinations(used, 2)]
-    )
-    for between in candidates:
+    for between in sorted([(a,) for a in used] + list(combinations(used, 2))):
         masks = _try_between_set(c, between)
         if masks is not None:
-            return _build(c, masks)
+            return validate_partition(c, [_bits(m) for m in masks])
     return None
-
-
-def _build(c: EdgeColoring, masks: Sequence[int]) -> GallaiPartition:
-    parts = tuple(tuple(_bits(m)) for m in masks)
-    pair_color: dict[tuple[int, int], int] = {}
-    between = set()
-    for i, j in combinations(range(len(parts)), 2):
-        col = c.color(parts[i][0], parts[j][0])
-        pair_color[(i, j)] = col
-        between.add(col)
-    return GallaiPartition(
-        parts=parts,
-        between_colors=tuple(sorted(between)),
-        pair_color=pair_color,
-        n=c.n,
-        k=c.k,
-    )
 
 
 def validate_partition(

@@ -69,7 +69,6 @@ class Verdict:
 
     kind: str
     witness: Optional[EdgeColoring] = None
-    nodes_explored: Optional[int] = None
 
 
 @dataclass
@@ -370,7 +369,7 @@ def decide_upper(
         colors, stats = _solve_split(n, targets, budget, symmetry, threads)
     stats.elapsed = time.perf_counter() - start
     if stats.nodes > budget:
-        return Verdict(BUDGET, nodes_explored=stats.nodes), stats
+        return Verdict(BUDGET), stats
     if colors is not None:
         return Verdict(BAD_COLORING, witness=EdgeColoring(n, len(targets), colors)), stats
     return Verdict(ALL_FORCED), stats

@@ -134,16 +134,23 @@ def test_random_command_deterministic(tmp_path, capsys):
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "formula", "--gr", "bogus")
     assert code == 2
-    assert "error:" in err and "usage:" in err
+    assert "error:" in err and "usage: gallai formula" in err
     code, _, err = run(capsys, "check", "--coloring", "/nonexistent.col", "--targets", "P3")
     assert code == 2
+    assert "usage: gallai check" in err
     code, _, err = run(capsys, "formula", "--known", "C6")
     assert code == 2  # missing -k
+    assert "usage: gallai formula" in err
     code, _, err = run(capsys, "verify-upper", "-N", "4", "--targets", "C5,C5")
     assert code == 2  # odd cycles are not searchable targets
+    assert "usage: gallai verify-upper" in err
     code, _, err = run(capsys, "verify-upper", "-N", "8", "--targets", "C6,,C6")
     assert code == 2  # an empty entry is not a dropped color
-    assert "position 2" in err
+    assert "position 2" in err and "usage: gallai verify-upper" in err
+    for entries, pos in (("1,,0", 2), ("2,1,", 3)):
+        code, out, err = run(capsys, "compute-gr", "--spec", f"n=3 i={entries}")
+        assert code == 2 and out == ""  # no case is decided on the remaining entries
+        assert f"position {pos}" in err and "usage: gallai compute-gr" in err
 
 
 def test_unknown_flags_exit_2(capsys):

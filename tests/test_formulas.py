@@ -44,6 +44,8 @@ def test_sorted_spec_identity_when_sorted():
 def test_sorted_spec_out_of_range():
     with pytest.raises(IndexOutOfRangeError):
         sorted_spec([3, 3], n=3)
+    with pytest.raises(InvalidSpecError, match="2 indices for k=3 colors"):
+        sorted_spec([1, 1], n=3, k=3)
 
 
 def test_spec_targets():
@@ -64,6 +66,10 @@ def test_parse_spec_string():
         parse_spec_string("k=3 head=cycle")
     for bad in ("n=x i=1,1", "n=3 i=1,x", "n=3 k=x i=1,1"):
         with pytest.raises(InvalidSpecError, match="bad spec value"):
+            parse_spec_string(bad)
+    # an empty entry is not a dropped color
+    for bad, pos in (("n=3 i=1,,0", 2), ("n=3 i=2,1,", 3), ("n=3 i=,2,1", 1)):
+        with pytest.raises(InvalidSpecError, match=f"empty index at position {pos} "):
             parse_spec_string(bad)
 
 
@@ -166,10 +172,20 @@ def test_known_gr_bounds():
         for k in range(1, 7):
             lo, hi = known_gr(name, k)
             assert lo <= hi
+    # past the exact range the lower bound is the construction's value
+    for k in range(1, 7):
+        for m in range(10, 16):
+            h = m // 2
+            assert known_gr(f"P{m}", k)[0] == (h - 1) * k + h + 1 + m % 2
+        for m in range(10, 15, 2):
+            h = m // 2
+            assert known_gr(f"C{m}", k)[0] == (h - 1) * k + h + 1
+        for s in range(5, 9):
+            assert known_gr(f"M{s}", k)[0] == (s - 1) * k + s + 1
 
 
 def test_known_gr_out_of_hypotheses():
-    for name in ("P2", "M1", "M2", "C17", "K4", "K5", "X9"):
+    for name in ("P0", "P2", "C2", "M0", "M1", "M2", "C17", "K4", "K5", "X9"):
         with pytest.raises(OutOfHypothesesError):
             known_gr(name, 3)
     with pytest.raises(OutOfHypothesesError):

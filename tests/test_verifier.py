@@ -180,7 +180,7 @@ def test_stopped_worker_skips_later_subtasks(monkeypatch):
 def test_budget_exhaustion_is_a_verdict():
     verdict, stats = decide_upper(6, "P5,P5", budget=10)
     assert verdict.kind == BUDGET
-    assert verdict.nodes_explored == stats.nodes > 10 - 2
+    assert stats.nodes > 10
 
 
 def test_deterministic_across_runs():
