@@ -6,12 +6,15 @@ the lexicographically least embedding, so certificates are
 reproducible. Paths and cycles share one kernel, `_reach_end`: can a
 simple path ending at a given vertex take so many more vertices, the
 last one in a mask of allowed ends? `find_mono` has it record its first
-hit. The verifier's through-edge checks only ask whether there is one:
-directly for cycles, and for paths through `_two_arms`, which grows two
-arms from the ends of the edge. Both start at the end with fewer free
-neighbors, the higher vertex on a tie. A path or cycle through the edge
-holds both ends, so the choice orders the search but cannot change the
-answer, and the tie rule makes it ignore the order of the arguments.
+hit. The verifier's through-edge checks ask whether there is a copy
+through a given edge: directly for cycles, and for paths through
+`_two_arms`, which grows two arms from the ends of the edge. On request
+they record the copy they found in an `out` list: the path or the
+cycle in order, or the matching's pairs, the edge's own pair last.
+The path and cycle checks start at the end with fewer free neighbors,
+the higher vertex on a tie. A path or cycle through the edge holds both ends, so the choice
+orders the search but cannot change the answer, and the tie rule makes
+it ignore the order of the arguments.
 The verifier colors edges in lex order: at (u, v) with u < v, every
 class neighbor of v but u lies below u, so v is usually the narrow end.
 
@@ -147,22 +150,34 @@ def _reach_end(
     return False
 
 
-def _two_arms(adj: list[int], last: int, mask: int, need: int, hop: int) -> bool:
+def _two_arms(
+    adj: list[int], last: int, mask: int, need: int, hop: int, out: Optional[list[int]] = None
+) -> bool:
     """Can two disjoint arms, one from `last` and one from `hop`, take
     `need` more vertices from outside `mask` between them? Either the arm
-    at `hop` takes them all, or the arm at `last` grows by one."""
-    if _reach_end(adj, hop, mask, need, -1):
+    at `hop` takes them all, or the arm at `last` grows by one. When
+    given, `out` holds a path from `hop` to `last`; on a hit the two arms
+    extend it at its ends, and on a miss it is left as it was."""
+    arm = None if out is None else []
+    if _reach_end(adj, hop, mask, need, -1, None, arm):
+        if out is not None:
+            out[:0] = arm
         return True
     cand = adj[last] & ~mask
     tried: list[tuple[int, int]] = []
     while cand:
         bit = cand & -cand
         cand ^= bit
-        w_adj = adj[bit.bit_length() - 1]
+        w = bit.bit_length() - 1
+        w_adj = adj[w]
         if tried and _twin_skip(w_adj, bit, tried):
             continue
-        if _two_arms(adj, bit.bit_length() - 1, mask | bit, need - 1, hop):
+        if out is not None:
+            out.append(w)
+        if _two_arms(adj, w, mask | bit, need - 1, hop, out):
             return True
+        if out is not None:
+            out.pop()
         tried.append((w_adj, bit))
     return False
 
@@ -276,8 +291,11 @@ def _augment(adj: list[int], free: int, mate: dict[int, int], root: int) -> int:
     return -1
 
 
-def _matching_at_least(adj: list[int], free: int, r: int) -> bool:
-    """Does the class restricted to `free` contain r disjoint edges?"""
+def _matching_at_least(
+    adj: list[int], free: int, r: int, out: Optional[list[int]] = None
+) -> bool:
+    """Does the class restricted to `free` contain r disjoint edges? On a
+    hit, the pairs of such a matching are appended to `out` when given."""
     if r <= 0:
         return True
     if free.bit_count() < 2 * r:
@@ -300,22 +318,26 @@ def _matching_at_least(adj: list[int], free: int, r: int) -> bool:
             matched |= ubit | wbit
             touched |= adj[u] | adj[w]
             if len(mate) == 2 * r:
-                return True
+                break
     # greedy is maximal, so an unmatched vertex with a free neighbor
     # touches a matched one: these are the only possible path ends
     roots = touched & free & ~matched
     # an augmenting path joins two unmatched vertices, and a root without
     # one never gets one later (Edmonds): each missing edge needs two
     # untried roots
-    while roots.bit_count() >= 2 * r - len(mate):
+    while 0 < 2 * r - len(mate) <= roots.bit_count():
         rbit = roots & -roots
         roots ^= rbit
         end = _augment(adj, free, mate, rbit.bit_length() - 1)
         if end >= 0:
-            if len(mate) == 2 * r:
-                return True
             roots &= ~(1 << end)
-    return False
+    if len(mate) < 2 * r:
+        return False
+    if out is not None:
+        for a, b in mate.items():
+            if a < b:
+                out += (a, b)
+    return True
 
 
 def _find_matching_sequence(adj: list[int], n: int, pairs: int) -> Optional[list[int]]:
@@ -426,28 +448,44 @@ def _narrow_end(adj: list[int], u: int, v: int, mask: int) -> tuple[int, int]:
     return v, u
 
 
-def exists_path_through(adj: list[int], u: int, v: int, m: int) -> bool:
+def exists_path_through(
+    adj: list[int], u: int, v: int, m: int, out: Optional[list[int]] = None
+) -> bool:
     # a path through edge (u,v) is two disjoint arms, one from each end.
     # The two ends play the same part, so the arm grown step by step can
     # sit at either: it sits at the narrow end, and the other end is `hop`
     mask = (1 << u) | (1 << v)
     last, hop = _narrow_end(adj, u, v, mask)
-    return _two_arms(adj, last, mask, m - 2, hop)
+    found = None if out is None else [hop, last]
+    if _two_arms(adj, last, mask, m - 2, hop, found):
+        if out is not None:
+            out += found
+        return True
+    return False
 
 
-def exists_cycle_through(adj: list[int], u: int, v: int, length: int) -> bool:
+def exists_cycle_through(
+    adj: list[int], u: int, v: int, length: int, out: Optional[list[int]] = None
+) -> bool:
     # a cycle through edge (u,v) is a path on `length` vertices between
     # its ends; read backwards it is one from the other end, so it is
-    # walked from the narrow end
+    # walked from the narrow end. The kernel records that path's inner
+    # vertices from `other`'s neighbor back to `last`'s
     mask = (1 << u) | (1 << v)
     last, other = _narrow_end(adj, u, v, mask)
-    return _reach_end(adj, last, mask, length - 2, adj[other])
+    if _reach_end(adj, last, mask, length - 2, adj[other], None, out):
+        if out is not None:
+            out += (last, other)
+        return True
+    return False
 
 
 def exists_matching_with_edge(
-    adj: list[int], u: int, v: int, pairs: int, n: int
+    adj: list[int], u: int, v: int, pairs: int, n: int, out: Optional[list[int]] = None
 ) -> bool:
-    if pairs <= 1:
-        return True
     free = ((1 << n) - 1) & ~((1 << u) | (1 << v))
-    return _matching_at_least(adj, free, pairs - 1)
+    if _matching_at_least(adj, free, pairs - 1, out):
+        if out is not None:
+            out += (u, v)
+        return True
+    return False

@@ -8,12 +8,20 @@ pair order, colors ascending) and prunes:
   one mask per edge holds the vertices joined to its ends in two
   different colors, and a color is pruned unless it is one of the two,
 * assignments completing the new color's monochromatic target; the
-  check is incremental, restricted to copies through the new edge.
-  With three or more colors its result is memoized per target, keyed by
-  the new color's class as a bitmask over edge indices with the new
-  edge added, since that class recurs while the other colors vary;
-  with two colors the class at an edge fixes every earlier edge, so a
-  key never recurs and the check runs bare,
+  check is incremental, restricted to copies through the new edge. Its
+  key is the new color's class as a bitmask over edge indices with the
+  new edge added. With three or more colors its result is memoized per
+  target under that key, since the class recurs while the other colors
+  vary; with two colors the class at an edge fixes every earlier edge,
+  so a key never recurs. Behind the memo, two short caches per target
+  and edge answer most checks without a search. The answer is monotone
+  in the edge set: a class that holds a copy through the edge passes it
+  on to every class containing it, and a class without one to every
+  class inside it. So the check answers yes when the edge mask of a
+  copy found earlier through the same edge lies inside the key, and no
+  when the key lies inside a key that was answered no. Both rules are
+  exact; a search runs only when neither applies, and its answer
+  enters the cache,
 * color-symmetric branches: among colors with identical targets, color
   j+1 may first appear only after color j,
 * vertex-symmetric branches: the colors on edges (0,1) and (0,2) must
@@ -28,9 +36,9 @@ The budget bounds the node count in this sequential search order. A
 parallel run cuts the tree at SPLIT_DEPTH edges into subtasks and folds
 their results in prefix order, each counted at its sequential position,
 so the verdict and witness never depend on the thread count. Each pool
-worker keeps one search, and with it the memos, for the whole call and
-takes the subtasks in contiguous chunks, so that neighbouring prefixes
-share memo entries.
+worker keeps one search, and with it the memos and the caches, for the
+whole call and takes the subtasks in contiguous chunks, so that
+neighbouring prefixes share their entries.
 """
 
 from __future__ import annotations
@@ -49,13 +57,16 @@ from .search import (
     exists_matching_with_edge,
     exists_path_through,
 )
-from .targets import CYCLE, PATH, Embedding, TargetGraph, parse_target_list
+from .targets import CYCLE, MATCHING, PATH, Embedding, TargetGraph, parse_target_list
 
 DEFAULT_BUDGET = 10 ** 9
 SPLIT_DEPTH = 6
 # a through-edge memo is cleared when it holds this many results; kept
 # whole, M3,M3,M3@10 stores 35.6k of them and peak memory grows by a fifth
 MEMO_SIZE = 4096
+# the copy and the no-copy cache of a through-edge check keep this many
+# masks per edge, the most recently used first
+CACHE_SIZE = 4
 
 ALL_FORCED = "all_forced"
 BAD_COLORING = "bad_coloring"
@@ -88,28 +99,78 @@ class _BudgetExhausted(Exception):
 
 
 def _through_check(t: TargetGraph, n: int):
+    """The kernel that decides whether a class, as bitmask adjacency,
+    holds a copy of `t` through the edge (u, v), recording the copy it
+    finds in `out`; None if `t` exceeds K_n."""
     if t.num_vertices > n:
         return None
     size = t.size
     if t.kind == PATH:
-        return lambda adj, u, v: exists_path_through(adj, u, v, size)
+        return lambda adj, u, v, out: exists_path_through(adj, u, v, size, out)
     if t.kind == CYCLE:
-        return lambda adj, u, v: exists_cycle_through(adj, u, v, size)
-    return lambda adj, u, v: exists_matching_with_edge(adj, u, v, size, n)
+        return lambda adj, u, v, out: exists_cycle_through(adj, u, v, size, out)
+    return lambda adj, u, v, out: exists_matching_with_edge(adj, u, v, size, n, out)
 
 
-def _memoized(check, memo: dict[int, bool], cls: list[int], col: int, bits: list[list[int]]):
-    """`check` for color `col`, its results kept in `memo` under the
-    class mask of `col` with the new edge's bit added: the mask fixes
-    the class graph, and its highest bit the edge."""
+def _copy_edges(kind: str, seq: list[int]):
+    """The edges of a copy as a kernel records it: a path or a cycle in
+    order, a matching as consecutive pairs."""
+    if kind == MATCHING:
+        return zip(seq[::2], seq[1::2])
+    if kind == CYCLE:
+        return zip(seq, seq[1:] + seq[:1])
+    return zip(seq, seq[1:])
 
-    def memo_check(row, u, v):
-        key = cls[col] | bits[u][v]
+
+def _cached(kernel, kind: str, copies: list[list[int]], misses: list[list[int]],
+            bits: list[list[int]]):
+    """`kernel` behind two lists per edge index: `copies` holds the edge
+    masks of copies found through that edge, and `misses` the keys at
+    which there was none. The key is the class mask with the new edge's
+    bit added, its highest bit. A copy inside the key answers yes, a miss
+    holding the key answers no; the entry that answers moves to the
+    front, a new one enters there, and the last drops out past
+    CACHE_SIZE."""
+
+    def cached_check(row, u, v, key):
+        idx = key.bit_length() - 1
+        yes = copies[idx]
+        for i, mask in enumerate(yes):
+            if mask & key == mask:
+                if i:
+                    yes.insert(0, yes.pop(i))
+                return True
+        no = misses[idx]
+        for i, mask in enumerate(no):
+            if key & mask == key:
+                if i:
+                    no.insert(0, no.pop(i))
+                return False
+        seq: list[int] = []
+        if kernel(row, u, v, seq):
+            mask = 0
+            for a, b in _copy_edges(kind, seq):
+                mask |= bits[a][b]
+            yes.insert(0, mask)
+            del yes[CACHE_SIZE:]
+            return True
+        no.insert(0, key)
+        del no[CACHE_SIZE:]
+        return False
+
+    return cached_check
+
+
+def _memoized(check, memo: dict[int, bool]):
+    """`check` with its results kept in `memo` under their keys: a key
+    fixes the class graph, and its highest bit the new edge."""
+
+    def memo_check(row, u, v, key):
         hit = memo.get(key)
         if hit is None:
             if len(memo) >= MEMO_SIZE:
                 memo.clear()
-            hit = memo[key] = check(row, u, v)
+            hit = memo[key] = check(row, u, v, key)
         return hit
 
     return memo_check
@@ -126,6 +187,8 @@ class _Search:
         self.leaf_depth = self.m
         self.symmetry = symmetry
         self.adj = [[0] * n for _ in range(self.k + 1)]
+        # the rows of colors 1..k; row 0 stays empty
+        self.color_rows = self.adj[1:]
         self.assigned_nb = [0] * n
         self.assignment = [0] * self.m
         # per color: its class as a bitmask over edge indices
@@ -137,28 +200,35 @@ class _Search:
             prev[col] = last_seen.get(t, 0)
             last_seen[t] = col
         self.prev_same_target = prev
-        # per color: the through-edge check, or None if the target exceeds K_n
-        self.checks = [None] + [_through_check(t, n) for t in targets]
-        # memoized from three colors on (a two-color key never recurs);
-        # colors with equal targets share one memo
+        # per color: the through-edge check, or None if the target
+        # exceeds K_n. Each stands behind the copy and no-copy caches, and
+        # from three colors on (a two-color key never recurs) behind a
+        # memo too; colors with equal targets share one check
+        bits = [[0] * n for _ in range(n)]
+        for idx, (u, v) in enumerate(self.edges):
+            bits[u][v] = bits[v][u] = 1 << idx
+        self.caches: dict[TargetGraph, tuple[list[list[int]], list[list[int]]]] = {}
         self.memos: dict[TargetGraph, dict[int, bool]] = {}
-        if self.k >= 3:
-            bits = [[0] * n for _ in range(n)]
-            for idx, (u, v) in enumerate(self.edges):
-                bits[u][v] = 1 << idx
-            for col, t in enumerate(targets, 1):
-                if self.checks[col] is not None:
-                    memo = self.memos.setdefault(t, {})
-                    self.checks[col] = _memoized(self.checks[col], memo, self.cls, col, bits)
+        checks = {}
+        for t in targets:
+            kernel = _through_check(t, n)
+            if kernel is None or t in checks:
+                continue
+            copies, misses = self.caches[t] = ([[] for _ in self.edges], [[] for _ in self.edges])
+            checks[t] = _cached(kernel, t.kind, copies, misses, bits)
+            if self.k >= 3:
+                checks[t] = _memoized(checks[t], self.memos.setdefault(t, {}))
+        self.checks = [None] + [checks.get(t) for t in targets]
         # the vertex rule compares edges (0,1) and (0,2) of the lex order
         self.vertex_rule_idx = 1 if n >= 3 else -1
 
     def start(self, prefix: Sequence[int], budget: int) -> None:
         """Clear what an earlier run left, a stop at a witness or at the
-        budget included, then color `prefix`. The memos stay: a key
-        fixes the class graph and the new edge, so its answer does not
-        depend on the prefix. The memoized checks hold `cls`, so it is
-        cleared in place, as are the other lists."""
+        budget included, then color `prefix`. The memos and the caches
+        stay: a key fixes the class graph and the new edge, and a cache
+        entry states a fact about an edge set, so neither depends on the
+        prefix. `color_rows` holds the rows of `adj`, so they are
+        cleared in place."""
         self.budget = budget
         self.stats = SearchStats()
         for row in self.adj:
@@ -191,7 +261,7 @@ class _Search:
         rainbow = 0
         if self.k >= 3:
             rainbow = nb[u] & nb[v]
-            for row in adj:
+            for row in self.color_rows:
                 rainbow &= ~(row[u] & row[v])
         nb[u] |= vbit
         nb[v] |= ubit
@@ -221,7 +291,7 @@ class _Search:
             row[u] |= vbit
             row[v] |= ubit
             check = checks[col]
-            if check is not None and check(row, u, v):
+            if check is not None and check(row, u, v, cls[col] | ebit):
                 stats.prunes_mono += 1
             else:
                 cls[col] |= ebit

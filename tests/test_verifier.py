@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from brute import brute_decide_upper
+from brute import brute_decide_upper, brute_exists_through
 from gallai_ramsey import (
     ALL_FORCED,
     BAD_COLORING,
@@ -21,7 +21,14 @@ from gallai_ramsey import (
 )
 from gallai_ramsey import verifier
 from gallai_ramsey.search import exists_cycle_through
-from gallai_ramsey.verifier import MEMO_SIZE, _Search, _solve, _solve_subtask, _start_worker
+from gallai_ramsey.verifier import (
+    CACHE_SIZE,
+    MEMO_SIZE,
+    _Search,
+    _solve,
+    _solve_subtask,
+    _start_worker,
+)
 
 
 def kinds(n, targets, **kw):
@@ -133,6 +140,64 @@ def test_memo_entries_match_direct_checks(prefixes):
                 rows[b] |= 1 << a
         u, v = search.edges[key.bit_length() - 1]
         assert exists_cycle_through(rows, u, v, 4) == hit, (key, u, v)
+
+
+def decode(search, mask):
+    """The class graph, as bitmask adjacency, of a mask over edge indices."""
+    rows = [0] * len(search.assigned_nb)
+    for idx, (a, b) in enumerate(search.edges):
+        if mask >> idx & 1:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n, targets, prefixes",
+    [
+        (8, "C6,P6", [()]),
+        (7, "C4,C4,C4", [(1, 2, 3, 1, 2, 3), (1, 1, 2, 3, 3, 2)]),
+    ],
+    ids=["C6,P6@8", "C4,C4,C4@7 reused"],
+)
+def test_cache_entries_are_true_facts(n, targets, prefixes):
+    # a copy mask must decode to a class holding a copy of the target
+    # through the mask's edge, a no-copy key to one holding none; the
+    # caches outlive the prefixes, as on a pool worker
+    search = _Search(n, parse_target_list(targets), True)
+    for prefix in prefixes:
+        assert _solve(search, prefix, DEFAULT_BUDGET)[0] is None
+    for t, (copies, misses) in search.caches.items():
+        assert any(copies) and any(misses), t
+        for idx, (u, v) in enumerate(search.edges):
+            assert len(copies[idx]) <= CACHE_SIZE and len(misses[idx]) <= CACHE_SIZE
+            for mask in copies[idx]:
+                assert mask >> idx & 1, (t, idx, mask)
+                assert brute_exists_through(decode(search, mask), u, v, t), (t, idx, mask)
+            for key in misses[idx]:
+                assert key.bit_length() - 1 == idx, (t, idx, key)
+                assert not brute_exists_through(decode(search, key), u, v, t), (t, idx, key)
+
+
+def test_caches_answer_most_through_edge_checks(monkeypatch):
+    # C6,P6@8 asks 151,419 through-edge checks; run bare, each is a
+    # kernel call. The copy and no-copy caches answer all but about a
+    # third of them, so a cache that is switched off fails here.
+    calls = 0
+
+    def counted(kernel):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        return wrapper
+
+    for name in ("exists_path_through", "exists_cycle_through", "exists_matching_with_edge"):
+        monkeypatch.setattr(verifier, name, counted(getattr(verifier, name)))
+    verdict, stats = decide_upper(8, "C6,P6")
+    assert verdict.kind == ALL_FORCED and stats.nodes == 151_420
+    assert calls <= 60_000
 
 
 def test_reused_search_matches_fresh_one():
