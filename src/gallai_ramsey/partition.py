@@ -141,15 +141,15 @@ def gallai_partition(c: EdgeColoring) -> Optional[GallaiPartition]:
     a best-effort diagnostic. Candidate between-color sets are tried in
     ascending lexicographic order and the first hit is returned, so the
     result is deterministic even though Gallai partitions are not unique.
-    The fixpoint's parts are built into a partition by
-    `validate_partition`, which accepts them: each part pair is joined in
-    one color, and at most two colors lie between parts.
+    The fixpoint's parts, as vertex masks, go through the structure
+    checks of `validate_partition`, which accept them: each part pair is
+    joined in one color, and at most two colors lie between parts.
     """
     used = c.used_colors()
     for between in sorted([(a,) for a in used] + list(combinations(used, 2))):
         masks = _try_between_set(c, between)
         if masks is not None:
-            return validate_partition(c, [_bits(m) for m in masks])
+            return _check_parts(c, [tuple(_bits(m)) for m in masks], masks)
     return None
 
 
@@ -181,16 +181,24 @@ def validate_partition(
     if covered != set(range(c.n)):
         raise NotAPartitionError(f"parts must cover exactly the vertices [0, {c.n})")
 
+    return _check_parts(c, normalized, [sum(1 << v for v in p) for p in normalized])
+
+
+def _check_parts(
+    c: EdgeColoring, parts: Sequence[tuple[int, ...]], masks: Sequence[int]
+) -> Union[GallaiPartition, ViolationReport]:
+    """The structure checks of `validate_partition` on a partition of
+    the vertices into >= 2 parts, each given as its ascending vertices
+    and as its vertex mask."""
     adj = c.color_adjacency()
-    masks = [sum(1 << v for v in p) for p in normalized]
     pair_color: dict[tuple[int, int], int] = {}
     seen_colors: dict[int, tuple[int, int]] = {}
-    for i, j in combinations(range(len(normalized)), 2):
-        u, v = normalized[i][0], normalized[j][0]
+    for i, j in combinations(range(len(parts)), 2):
+        u, v = parts[i][0], parts[j][0]
         col = c.color(u, v)
         adj_col = adj[col]
         mask_j = masks[j]
-        for x in normalized[i]:
+        for x in parts[i]:
             off = mask_j & ~adj_col[x]
             if off:
                 y = (off & -off).bit_length() - 1
@@ -209,7 +217,7 @@ def validate_partition(
             kind="extra_between_colors", part_pair=None, witness_edges=witnesses
         )
     return GallaiPartition(
-        parts=tuple(normalized),
+        parts=tuple(parts),
         between_colors=tuple(sorted(seen_colors)),
         pair_color=pair_color,
         n=c.n,

@@ -152,17 +152,16 @@ def _reach_end(
 
 def _two_arms(
     adj: list[int], last: int, mask: int, need: int, hop: int, out: Optional[list[int]] = None
-) -> bool:
+) -> int:
     """Can two disjoint arms, one from `last` and one from `hop`, take
     `need` more vertices from outside `mask` between them? Either the arm
-    at `hop` takes them all, or the arm at `last` grows by one. When
-    given, `out` holds a path from `hop` to `last`; on a hit the two arms
-    extend it at its ends, and on a miss it is left as it was."""
-    arm = None if out is None else []
-    if _reach_end(adj, hop, mask, need, -1, None, arm):
-        if out is not None:
-            out[:0] = arm
-        return True
+    at `hop` takes them all, or the arm at `last` grows by one. Returns
+    how many vertices the arm at `hop` takes, or -1 when there are no
+    such arms. On a hit, `out` when given receives the arm at `hop` and
+    then the arm at `last`, each from its far end back, as the recursion
+    unwinds; on a miss it is left as it was."""
+    if _reach_end(adj, hop, mask, need, -1, None, out):
+        return need
     cand = adj[last] & ~mask
     tried: list[tuple[int, int]] = []
     while cand:
@@ -172,14 +171,13 @@ def _two_arms(
         w_adj = adj[w]
         if tried and _twin_skip(w_adj, bit, tried):
             continue
-        if out is not None:
-            out.append(w)
-        if _two_arms(adj, w, mask | bit, need - 1, hop, out):
-            return True
-        if out is not None:
-            out.pop()
+        split = _two_arms(adj, w, mask | bit, need - 1, hop, out)
+        if split >= 0:
+            if out is not None:
+                out.append(w)
+            return split
         tried.append((w_adj, bit))
-    return False
+    return -1
 
 
 def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
@@ -456,12 +454,14 @@ def exists_path_through(
     # sit at either: it sits at the narrow end, and the other end is `hop`
     mask = (1 << u) | (1 << v)
     last, hop = _narrow_end(adj, u, v, mask)
-    found = None if out is None else [hop, last]
-    if _two_arms(adj, last, mask, m - 2, hop, found):
-        if out is not None:
-            out += found
-        return True
-    return False
+    split = _two_arms(adj, last, mask, m - 2, hop, out)
+    if split >= 0 and out is not None:
+        # the arms' m - 2 vertices came in from their far ends, the arm
+        # at `hop` first: it takes `split` of them
+        cut = len(out) - (m - 2)
+        arms = out[cut:]
+        out[cut:] = [*arms[:split], hop, last, *reversed(arms[split:])]
+    return split >= 0
 
 
 def exists_cycle_through(

@@ -13,7 +13,7 @@ pair order, colors ascending) and prunes:
   new edge added. With three or more colors its result is memoized per
   target under that key, since the class recurs while the other colors
   vary; with two colors the class at an edge fixes every earlier edge,
-  so a key never recurs. Behind the memo, two short caches per target
+  so a key never recurs. Behind the memo, two packed caches per target
   and edge answer most checks without a search. The answer is monotone
   in the edge set: a class that holds a copy through the edge passes it
   on to every class containing it, and a class without one to every
@@ -21,7 +21,9 @@ pair order, colors ascending) and prunes:
   copy found earlier through the same edge lies inside the key, and no
   when the key lies inside a key that was answered no. Both rules are
   exact; a search runs only when neither applies, and its answer
-  enters the cache,
+  enters the cache. Each cache keeps its last CACHE_SIZE masks as the
+  fields of one int, and one test on that int asks all of them at
+  once, so the lookup does not slow down as the cache grows,
 * color-symmetric branches: among colors with identical targets, color
   j+1 may first appear only after color j,
 * vertex-symmetric branches: the colors on edges (0,1) and (0,2) must
@@ -65,8 +67,8 @@ SPLIT_DEPTH = 6
 # whole, M3,M3,M3@10 stores 35.6k of them and peak memory grows by a fifth
 MEMO_SIZE = 4096
 # the copy and the no-copy cache of a through-edge check keep this many
-# masks per edge, the most recently used first
-CACHE_SIZE = 4
+# masks per edge, the newest first
+CACHE_SIZE = 64
 
 ALL_FORCED = "all_forced"
 BAD_COLORING = "bad_coloring"
@@ -122,40 +124,45 @@ def _copy_edges(kind: str, seq: list[int]):
     return zip(seq, seq[1:])
 
 
-def _cached(kernel, kind: str, copies: list[list[int]], misses: list[list[int]],
-            bits: list[list[int]]):
-    """`kernel` behind two lists per edge index: `copies` holds the edge
-    masks of copies found through that edge, and `misses` the keys at
-    which there was none. The key is the class mask with the new edge's
-    bit added, its highest bit. A copy inside the key answers yes, a miss
-    holding the key answers no; the entry that answers moves to the
-    front, a new one enters there, and the last drops out past
-    CACHE_SIZE."""
+def _cached(kernel, kind: str, copies: list[int], misses: list[int],
+            fields: list[tuple[int, int, int]], bits: list[list[int]]):
+    """`kernel` behind two packed caches per edge index: `copies` holds
+    the edge masks of copies found through that edge, and `misses` the
+    keys at which there was none. The key is the class mask with the new
+    edge's bit added, its highest bit. At edge idx each cache is one int
+    of CACHE_SIZE fields, idx + 3 bits wide: the idx + 1 edge bits, an
+    empty bit that no key holds, and a guard bit. With `rep` the key
+    copied into every field, a field of copies & ~rep is 0 exactly when
+    its copy lies inside the key, and a field of rep & ~misses exactly
+    when the key lies inside its miss; both are computed as (a | b) ^ b,
+    which spares Python the negative int ~b. Adding `low`, all ones
+    below each guard bit, carries into the guard bit of every nonzero
+    field and of no other, so one test answers for all fields. An empty
+    copy field holds only its empty bit and an empty miss field is 0,
+    while a key always holds its edge bit: neither ever answers. A new
+    entry shifts in at the bottom and the oldest drops out at the top.
+    `fields` holds ones (the lowest bit of each field), low and guard
+    per edge index."""
 
     def cached_check(row, u, v, key):
         idx = key.bit_length() - 1
+        ones, low, guard = fields[idx]
+        rep = key * ones
         yes = copies[idx]
-        for i, mask in enumerate(yes):
-            if mask & key == mask:
-                if i:
-                    yes.insert(0, yes.pop(i))
-                return True
+        if (((yes | rep) ^ rep) + low) & guard != guard:
+            return True
         no = misses[idx]
-        for i, mask in enumerate(no):
-            if key & mask == key:
-                if i:
-                    no.insert(0, no.pop(i))
-                return False
+        if (((rep | no) ^ no) + low) & guard != guard:
+            return False
+        width = idx + 3
         seq: list[int] = []
         if kernel(row, u, v, seq):
             mask = 0
             for a, b in _copy_edges(kind, seq):
                 mask |= bits[a][b]
-            yes.insert(0, mask)
-            del yes[CACHE_SIZE:]
+            copies[idx] = (yes << width | mask) & (low | guard)
             return True
-        no.insert(0, key)
-        del no[CACHE_SIZE:]
+        misses[idx] = (no << width | key) & (low | guard)
         return False
 
     return cached_check
@@ -207,15 +214,25 @@ class _Search:
         bits = [[0] * n for _ in range(n)]
         for idx, (u, v) in enumerate(self.edges):
             bits[u][v] = bits[v][u] = 1 << idx
-        self.caches: dict[TargetGraph, tuple[list[list[int]], list[list[int]]]] = {}
+        # the packed caches' constants per edge index (see _cached)
+        fields = []
+        for idx in range(self.m):
+            width = idx + 3
+            ones = ((1 << width * CACHE_SIZE) - 1) // ((1 << width) - 1)
+            guard = ones << width - 1
+            fields.append((ones, guard - ones, guard))
+        self.caches: dict[TargetGraph, tuple[list[int], list[int]]] = {}
         self.memos: dict[TargetGraph, dict[int, bool]] = {}
         checks = {}
         for t in targets:
             kernel = _through_check(t, n)
             if kernel is None or t in checks:
                 continue
-            copies, misses = self.caches[t] = ([[] for _ in self.edges], [[] for _ in self.edges])
-            checks[t] = _cached(kernel, t.kind, copies, misses, bits)
+            # every copy field starts empty: its empty bit alone
+            copies = [f[0] << idx + 1 for idx, f in enumerate(fields)]
+            misses = [0] * self.m
+            self.caches[t] = (copies, misses)
+            checks[t] = _cached(kernel, t.kind, copies, misses, fields, bits)
             if self.k >= 3:
                 checks[t] = _memoized(checks[t], self.memos.setdefault(t, {}))
         self.checks = [None] + [checks.get(t) for t in targets]

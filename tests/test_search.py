@@ -332,7 +332,7 @@ def test_through_edge_checks_start_at_the_narrow_end(monkeypatch):
     # the higher vertex on a tie, so the search is the same whichever way
     # round the edge is given. The verifier passes u < v, and v tends to
     # be the narrow end: behind the verifier's caches, P6,P6@8 takes
-    # 84,946 kernel calls, and 114,433 from u.
+    # 43,051 kernel calls, 56,578 from u and 59,326 from the wide end.
     calls = 0
 
     def counted(kernel):
@@ -363,7 +363,7 @@ def test_through_edge_checks_start_at_the_narrow_end(monkeypatch):
                     assert counts[0] == counts[1], (trial, adj, check.__name__, size, a, b)
     calls = 0
     assert decide_upper(8, "P6,P6")[0].kind == ALL_FORCED
-    assert calls <= 100_000
+    assert calls <= 50_000
 
 
 def test_cycle_phase_counts_lower_vertices_as_used():

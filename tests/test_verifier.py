@@ -152,6 +152,15 @@ def decode(search, mask):
     return rows
 
 
+def unpack(packed, idx):
+    """The CACHE_SIZE fields, newest first, of a packed cache at edge
+    index idx: idx + 3 bits each, the edge bits, the empty bit and the
+    guard bit."""
+    width = idx + 3
+    assert packed >> width * CACHE_SIZE == 0, (idx, packed)
+    return [packed >> width * i & (1 << width) - 1 for i in range(CACHE_SIZE)]
+
+
 @pytest.mark.parametrize(
     "n, targets, prefixes",
     [
@@ -163,26 +172,95 @@ def decode(search, mask):
 def test_cache_entries_are_true_facts(n, targets, prefixes):
     # a copy mask must decode to a class holding a copy of the target
     # through the mask's edge, a no-copy key to one holding none; the
-    # caches outlive the prefixes, as on a pool worker
+    # caches outlive the prefixes, as on a pool worker. A field that is
+    # not in use holds the empty bit alone in the copy cache, 0 in the
+    # no-copy cache
     search = _Search(n, parse_target_list(targets), True)
     for prefix in prefixes:
         assert _solve(search, prefix, DEFAULT_BUDGET)[0] is None
     for t, (copies, misses) in search.caches.items():
-        assert any(copies) and any(misses), t
+        stored = [0, 0]
         for idx, (u, v) in enumerate(search.edges):
-            assert len(copies[idx]) <= CACHE_SIZE and len(misses[idx]) <= CACHE_SIZE
-            for mask in copies[idx]:
+            for mask in unpack(copies[idx], idx):
+                if mask == 1 << idx + 1:
+                    continue
+                stored[0] += 1
                 assert mask >> idx & 1, (t, idx, mask)
+                assert mask.bit_length() - 1 == idx, (t, idx, mask)
                 assert brute_exists_through(decode(search, mask), u, v, t), (t, idx, mask)
-            for key in misses[idx]:
+            for key in unpack(misses[idx], idx):
+                if not key:
+                    continue
+                stored[1] += 1
                 assert key.bit_length() - 1 == idx, (t, idx, key)
                 assert not brute_exists_through(decode(search, key), u, v, t), (t, idx, key)
+        assert all(stored), (t, stored)
+
+
+def test_packed_caches_match_plain_lists(monkeypatch):
+    # random queries on the caches of K_11, edge indices 0 to 54, against
+    # plain lists of the last CACHE_SIZE copy masks and no-copy keys per
+    # edge: a copy inside the key answers yes, a no-copy key holding it
+    # answers no, and only otherwise does the kernel run. Here the kernel
+    # answers at random and records a random part of the key as its copy.
+    # Edges 17, 40 and 54 take more than CACHE_SIZE entries in each cache,
+    # so old ones drop out
+    rng = random.Random(54)
+    asked = []
+
+    def kernel(row, u, v, out):
+        # asked at `key` on `edge`, the loop's current query; a yes
+        # records the edges of `copy`, most of the key, and 0 is a no
+        copy = 0
+        if rng.random() < 0.5:
+            copy = key & (1 << edge | sum(1 << i for i in range(edge) if rng.random() < 0.9))
+        for idx, (a, b) in enumerate(search.edges):
+            if copy >> idx & 1:
+                out += (a, b)
+        asked.append(copy)
+        return copy != 0
+
+    monkeypatch.setattr(verifier, "_through_check", lambda t, n: kernel)
+    search = _Search(11, parse_target_list("M2"), True)
+    check = search.checks[1]
+    ((copies, misses),) = search.caches.values()
+    plain = {edge: ([], []) for edge in (0, 2, 9, 17, 40, 54)}
+    answers = {True: 0, False: 0, None: 0}
+    entered = {(edge, yes): 0 for edge in plain for yes in (True, False)}
+    for _ in range(6_000):
+        edge = rng.choice(list(plain))
+        density = rng.uniform(0.2, 0.8)
+        key = 1 << edge | sum(1 << i for i in range(edge) if rng.random() < density)
+        yes, no = plain[edge]
+        if any(mask & key == mask for mask in yes):
+            want = True
+        elif any(key & mask == key for mask in no):
+            want = False
+        else:
+            want = None
+        answers[want] += 1
+        got = check(None, *search.edges[edge], key)
+        if want is None:
+            (copy,) = asked
+            assert got == (copy != 0), (edge, key)
+            entries, entry = (yes, copy) if got else (no, key)
+            entered[edge, got] += 1
+            entries.insert(0, entry)
+            del entries[CACHE_SIZE:]
+        else:
+            assert (asked, got) == ([], want), (edge, key)
+        asked.clear()
+        assert [m for m in unpack(copies[edge], edge) if m != 1 << edge + 1] == yes, edge
+        assert [k for k in unpack(misses[edge], edge) if k] == no, edge
+    assert min(answers.values()) > 500, answers
+    assert all(entered[edge, yes] > CACHE_SIZE for edge in (17, 40, 54) for yes in (True, False))
 
 
 def test_caches_answer_most_through_edge_checks(monkeypatch):
     # C6,P6@8 asks 151,419 through-edge checks; run bare, each is a
-    # kernel call. The copy and no-copy caches answer all but about a
-    # third of them, so a cache that is switched off fails here.
+    # kernel call. The copy and no-copy caches answer all but 33,373 of
+    # them (51,744 with four entries per edge instead of CACHE_SIZE),
+    # so a cache that is switched off or cut short fails here.
     calls = 0
 
     def counted(kernel):
@@ -197,7 +275,7 @@ def test_caches_answer_most_through_edge_checks(monkeypatch):
         monkeypatch.setattr(verifier, name, counted(getattr(verifier, name)))
     verdict, stats = decide_upper(8, "C6,P6")
     assert verdict.kind == ALL_FORCED and stats.nodes == 151_420
-    assert calls <= 60_000
+    assert calls <= 40_000
 
 
 def test_reused_search_matches_fresh_one():
