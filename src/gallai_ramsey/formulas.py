@@ -10,8 +10,9 @@ non-increasing index per color, and the head interpretation.
 known_gr holds one rule per family of named targets. With h = m // 2
 for P_m and C_m, and h = s for the matching M_s, the construction gives
 GR_k >= (h-1)k + h + 1, plus one for paths on an odd number of vertices.
-The rule is exact through P9, C8 and M4 (C4 alone is k + 4); past those
-it is the lower bound, paired with the general upper bound (h-1)k + 3h.
+The rule is exact through P9, C8 and M4 (C4 alone is k + 4 for k >= 2,
+and 4 for one color); past those it is the lower bound, paired with the
+general upper bound (h-1)k + 3h.
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def known_gr(name: str, k: int) -> Union[int, Bounds]:
 
     Paths, even cycles and matchings follow one rule each: with h = m // 2
     for P_m and C_m and h = s for M_s, the value is (h-1)k + h + 1, plus
-    one for odd paths, exact through P9, C8 and M4 (C4 is k + 4). Past
+    one for odd paths, exact through P9, C8 and M4 (C4 is k + 4 for
+    k >= 2 and 4 for k = 1, where K_4 is itself a C4). Past
     those it is a (lower, upper) pair: that construction lower bound and
     the general upper bound (h-1)k + 3h. Odd cycles through C15 and K3
     have their own forms. Raises OutOfHypothesesError for targets no
@@ -243,7 +245,9 @@ def known_gr(name: str, k: int) -> Union[int, Bounds]:
                 return half * 2 ** k + 1
             raise OutOfHypothesesError(f"no closed form for the odd cycle C{size}")
         if size == 4:
-            return k + 4
+            # Faudree, Gould, Jacobson & Magnant (2010) give k + 4 for
+            # k >= 2; one color on K_4 is itself a C4
+            return k + 4 if k >= 2 else 4
         if size < 6:
             raise OutOfHypothesesError(f"no closed form for C{size}")
         half, exact_through = size // 2, 8

@@ -8,13 +8,14 @@ simple path ending at a given vertex take so many more vertices, the
 last one in a mask of allowed ends? `find_mono` has it record its first
 hit. The verifier's through-edge checks ask whether there is a copy
 through a given edge: directly for cycles, and for paths through
-`_two_arms`, which grows two arms from the ends of the edge. On request
-they record the copy they found in an `out` list: the path or the
-cycle in order, or the matching's pairs, the edge's own pair last.
-The path and cycle checks start at the end with fewer free neighbors,
-the higher vertex on a tie. A path or cycle through the edge holds both ends, so the choice
-orders the search but cannot change the answer, and the tie rule makes
-it ignore the order of the arguments.
+`_two_arms`, which grows two arms from the ends of the edge. They
+share one signature, (adj, u, v, size, out), and always record the copy
+they found in the list `out`, in the format of `TargetGraph.copy_edges`:
+the path or the cycle in order, or the matching's pairs, the edge's own
+pair last. The path and cycle checks start at the end with fewer free
+neighbors, the higher vertex on a tie. A path or cycle through the edge
+holds both ends, so the choice orders the search but cannot change the
+answer, and the tie rule makes it ignore the order of the arguments.
 The verifier colors edges in lex order: at (u, v) with u < v, every
 class neighbor of v but u lies below u, so v is usually the narrow end.
 
@@ -93,13 +94,13 @@ def _reach_end(
     mask: int,
     need: int,
     ends: int,
-    failed: Optional[set[tuple[int, int]]] = None,
-    out: Optional[list[int]] = None,
+    failed: Optional[set[tuple[int, int]]],
+    out: list[int],
 ) -> bool:
     """Can a simple path ending at `last` take `need` more vertices from
     outside `mask` (the vertices already used, or ruled out), the final
     one in `ends`? An `ends` of -1 leaves the end free. On a hit, the
-    lex-least such vertices are appended to `out` when given, last first.
+    lex-least such vertices are appended to `out`, last first.
 
     The twin skip needs swapping two candidates to fix every input, so
     callers keep `ends` at -1 or the neighborhood of a vertex in `mask`.
@@ -114,15 +115,14 @@ def _reach_end(
         while cand:
             bit = cand & -cand
             cand ^= bit
-            if adj[bit.bit_length() - 1] & ends:
-                if out is not None:
-                    hit = adj[bit.bit_length() - 1] & ends
-                    out += ((hit & -hit).bit_length() - 1, bit.bit_length() - 1)
+            hit = adj[bit.bit_length() - 1] & ends
+            if hit:
+                out += ((hit & -hit).bit_length() - 1, bit.bit_length() - 1)
                 return True
         return False
     if need < 2:
         hit = cand & ends
-        if need and hit and out is not None:
+        if need and hit:
             out.append((hit & -hit).bit_length() - 1)
         return need == 0 or hit != 0
     if failed is not None and (last, mask) in failed:
@@ -141,8 +141,7 @@ def _reach_end(
                     break
             else:
                 if _reach_end(adj, bit.bit_length() - 1, mask | bit, need - 1, ends, failed, out):
-                    if out is not None:
-                        out.append(bit.bit_length() - 1)
+                    out.append(bit.bit_length() - 1)
                     return True
                 tried.append((w_adj, bit))
     if failed is not None:
@@ -150,16 +149,14 @@ def _reach_end(
     return False
 
 
-def _two_arms(
-    adj: list[int], last: int, mask: int, need: int, hop: int, out: Optional[list[int]] = None
-) -> int:
+def _two_arms(adj: list[int], last: int, mask: int, need: int, hop: int, out: list[int]) -> int:
     """Can two disjoint arms, one from `last` and one from `hop`, take
     `need` more vertices from outside `mask` between them? Either the arm
     at `hop` takes them all, or the arm at `last` grows by one. Returns
     how many vertices the arm at `hop` takes, or -1 when there are no
-    such arms. On a hit, `out` when given receives the arm at `hop` and
-    then the arm at `last`, each from its far end back, as the recursion
-    unwinds; on a miss it is left as it was."""
+    such arms. On a hit, `out` receives the arm at `hop` and then the
+    arm at `last`, each from its far end back, as the recursion unwinds;
+    on a miss it is left as it was."""
     if _reach_end(adj, hop, mask, need, -1, None, out):
         return need
     cand = adj[last] & ~mask
@@ -173,8 +170,7 @@ def _two_arms(
             continue
         split = _two_arms(adj, w, mask | bit, need - 1, hop, out)
         if split >= 0:
-            if out is not None:
-                out.append(w)
+            out.append(w)
             return split
         tried.append((w_adj, bit))
     return -1
@@ -412,20 +408,9 @@ def verify_embedding(c: EdgeColoring, e: Embedding) -> bool:
         return False
     if len(set(verts)) != len(verts):
         return False
-    t = e.target
-    if t.kind == PATH:
-        if len(verts) != t.size:
-            return False
-        edges = list(zip(verts, verts[1:]))
-    elif t.kind == CYCLE:
-        if len(verts) != t.size:
-            return False
-        edges = list(zip(verts, verts[1:])) + [(verts[-1], verts[0])]
-    else:
-        if len(verts) != 2 * t.size:
-            return False
-        edges = [(verts[i], verts[i + 1]) for i in range(0, len(verts), 2)]
-    return all(c.color(u, v) == e.color for u, v in edges)
+    if len(verts) != e.target.num_vertices:
+        return False
+    return all(c.color(u, v) == e.color for u, v in e.target.copy_edges(verts))
 
 
 # ---------------------------------------------------------------------------
@@ -446,27 +431,24 @@ def _narrow_end(adj: list[int], u: int, v: int, mask: int) -> tuple[int, int]:
     return v, u
 
 
-def exists_path_through(
-    adj: list[int], u: int, v: int, m: int, out: Optional[list[int]] = None
-) -> bool:
+def exists_path_through(adj: list[int], u: int, v: int, m: int, out: list[int]) -> bool:
     # a path through edge (u,v) is two disjoint arms, one from each end.
     # The two ends play the same part, so the arm grown step by step can
     # sit at either: it sits at the narrow end, and the other end is `hop`
     mask = (1 << u) | (1 << v)
     last, hop = _narrow_end(adj, u, v, mask)
     split = _two_arms(adj, last, mask, m - 2, hop, out)
-    if split >= 0 and out is not None:
-        # the arms' m - 2 vertices came in from their far ends, the arm
-        # at `hop` first: it takes `split` of them
-        cut = len(out) - (m - 2)
-        arms = out[cut:]
-        out[cut:] = [*arms[:split], hop, last, *reversed(arms[split:])]
-    return split >= 0
+    if split < 0:
+        return False
+    # the arms' m - 2 vertices came in from their far ends, the arm at
+    # `hop` first: it takes `split` of them
+    cut = len(out) - (m - 2)
+    arms = out[cut:]
+    out[cut:] = [*arms[:split], hop, last, *reversed(arms[split:])]
+    return True
 
 
-def exists_cycle_through(
-    adj: list[int], u: int, v: int, length: int, out: Optional[list[int]] = None
-) -> bool:
+def exists_cycle_through(adj: list[int], u: int, v: int, length: int, out: list[int]) -> bool:
     # a cycle through edge (u,v) is a path on `length` vertices between
     # its ends; read backwards it is one from the other end, so it is
     # walked from the narrow end. The kernel records that path's inner
@@ -474,18 +456,15 @@ def exists_cycle_through(
     mask = (1 << u) | (1 << v)
     last, other = _narrow_end(adj, u, v, mask)
     if _reach_end(adj, last, mask, length - 2, adj[other], None, out):
-        if out is not None:
-            out += (last, other)
+        out += (last, other)
         return True
     return False
 
 
-def exists_matching_with_edge(
-    adj: list[int], u: int, v: int, pairs: int, n: int, out: Optional[list[int]] = None
-) -> bool:
-    free = ((1 << n) - 1) & ~((1 << u) | (1 << v))
+def exists_matching_with_edge(adj: list[int], u: int, v: int, pairs: int, out: list[int]) -> bool:
+    # the other pairs - 1 edges avoid u and v
+    free = ((1 << len(adj)) - 1) & ~((1 << u) | (1 << v))
     if _matching_at_least(adj, free, pairs - 1, out):
-        if out is not None:
-            out += (u, v)
+        out += (u, v)
         return True
     return False

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 PATH = "path"
 CYCLE = "cycle"
@@ -55,6 +56,17 @@ class TargetGraph:
 
     def __str__(self) -> str:
         return self.name
+
+    def copy_edges(self, seq: Sequence[int]) -> Iterator[tuple[int, int]]:
+        """The edges of a copy given by its vertex order, the one format
+        of embeddings and of the verifier's through-edge kernels: a path
+        or a cycle in order, the cycle's closing edge last, and a
+        matching as consecutive pairs."""
+        if self.kind == MATCHING:
+            return zip(seq[::2], seq[1::2])
+        if self.kind == CYCLE:
+            return zip(seq, seq[1:] + seq[:1])
+        return zip(seq, seq[1:])
 
 
 def path(m: int) -> TargetGraph:
@@ -102,10 +114,8 @@ def parse_target_list(text) -> list[TargetGraph]:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Ordered vertex list witnessing a monochromatic target copy.
-
-    Paths list their vertices in order; cycles likewise with an implied
-    wrap-around edge; matchings list 2s vertices paired consecutively.
+    """Ordered vertex list witnessing a monochromatic target copy, in
+    the format of `TargetGraph.copy_edges`.
     """
 
     target: TargetGraph

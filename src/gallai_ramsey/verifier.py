@@ -21,9 +21,12 @@ pair order, colors ascending) and prunes:
   copy found earlier through the same edge lies inside the key, and no
   when the key lies inside a key that was answered no. Both rules are
   exact; a search runs only when neither applies, and its answer
-  enters the cache. Each cache keeps its last CACHE_SIZE masks as the
-  fields of one int, and one test on that int asks all of them at
-  once, so the lookup does not slow down as the cache grows,
+  enters the cache. The search is the search module's kernel for the
+  target's kind; the kernels share one signature and always record the
+  copy they find, whose edge mask `TargetGraph.copy_edges` reads off.
+  Each cache keeps its last CACHE_SIZE masks as the fields of one int,
+  and one test on that int asks all of them at once, so the lookup
+  does not slow down as the cache grows,
 * color-symmetric branches: among colors with identical targets, color
   j+1 may first appear only after color j,
 * vertex-symmetric branches: the colors on edges (0,1) and (0,2) must
@@ -100,34 +103,11 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _through_check(t: TargetGraph, n: int):
-    """The kernel that decides whether a class, as bitmask adjacency,
-    holds a copy of `t` through the edge (u, v), recording the copy it
-    finds in `out`; None if `t` exceeds K_n."""
-    if t.num_vertices > n:
-        return None
-    size = t.size
-    if t.kind == PATH:
-        return lambda adj, u, v, out: exists_path_through(adj, u, v, size, out)
-    if t.kind == CYCLE:
-        return lambda adj, u, v, out: exists_cycle_through(adj, u, v, size, out)
-    return lambda adj, u, v, out: exists_matching_with_edge(adj, u, v, size, n, out)
-
-
-def _copy_edges(kind: str, seq: list[int]):
-    """The edges of a copy as a kernel records it: a path or a cycle in
-    order, a matching as consecutive pairs."""
-    if kind == MATCHING:
-        return zip(seq[::2], seq[1::2])
-    if kind == CYCLE:
-        return zip(seq, seq[1:] + seq[:1])
-    return zip(seq, seq[1:])
-
-
-def _cached(kernel, kind: str, copies: list[int], misses: list[int],
+def _cached(kernel, t: TargetGraph, copies: list[int], misses: list[int],
             fields: list[tuple[int, int, int]], bits: list[list[int]]):
-    """`kernel` behind two packed caches per edge index: `copies` holds
-    the edge masks of copies found through that edge, and `misses` the
+    """`kernel`, the through-edge check of `t`, behind two packed caches
+    per edge index: `copies` holds the edge masks of the copies it found
+    through that edge, read off by `t.copy_edges`, and `misses` the
     keys at which there was none. The key is the class mask with the new
     edge's bit added, its highest bit. At edge idx each cache is one int
     of CACHE_SIZE fields, idx + 3 bits wide: the idx + 1 edge bits, an
@@ -143,6 +123,8 @@ def _cached(kernel, kind: str, copies: list[int], misses: list[int],
     entry shifts in at the bottom and the oldest drops out at the top.
     `fields` holds ones (the lowest bit of each field), low and guard
     per edge index."""
+    size = t.size
+    copy_edges = t.copy_edges
 
     def cached_check(row, u, v, key):
         idx = key.bit_length() - 1
@@ -156,9 +138,9 @@ def _cached(kernel, kind: str, copies: list[int], misses: list[int],
             return False
         width = idx + 3
         seq: list[int] = []
-        if kernel(row, u, v, seq):
+        if kernel(row, u, v, size, seq):
             mask = 0
-            for a, b in _copy_edges(kind, seq):
+            for a, b in copy_edges(seq):
                 mask |= bits[a][b]
             copies[idx] = (yes << width | mask) & (low | guard)
             return True
@@ -223,16 +205,22 @@ class _Search:
             fields.append((ones, guard - ones, guard))
         self.caches: dict[TargetGraph, tuple[list[int], list[int]]] = {}
         self.memos: dict[TargetGraph, dict[int, bool]] = {}
+        # looked up here, not at import, so that a wrapper set on this
+        # module's names sees the kernel calls
+        kernels = {
+            PATH: exists_path_through,
+            CYCLE: exists_cycle_through,
+            MATCHING: exists_matching_with_edge,
+        }
         checks = {}
         for t in targets:
-            kernel = _through_check(t, n)
-            if kernel is None or t in checks:
+            if t.num_vertices > n or t in checks:
                 continue
             # every copy field starts empty: its empty bit alone
             copies = [f[0] << idx + 1 for idx, f in enumerate(fields)]
             misses = [0] * self.m
             self.caches[t] = (copies, misses)
-            checks[t] = _cached(kernel, t.kind, copies, misses, fields, bits)
+            checks[t] = _cached(kernels[t.kind], t, copies, misses, fields, bits)
             if self.k >= 3:
                 checks[t] = _memoized(checks[t], self.memos.setdefault(t, {}))
         self.checks = [None] + [checks.get(t) for t in targets]

@@ -145,7 +145,8 @@ def test_known_gr_paths():
 
 def test_known_gr_cycles():
     for k in range(1, 7):
-        assert known_gr("C4", k) == k + 4
+        # one color on K_4 is itself a C4, so GR_1(C4) = 4
+        assert known_gr("C4", k) == (k + 4 if k >= 2 else 4)
         assert known_gr("C5", k) == 2 ** (k + 1) + 1
         assert known_gr("C6", k) == 2 * k + 4
         assert known_gr("C8", k) == 3 * k + 5
@@ -157,6 +158,18 @@ def test_known_gr_matchings():
     for k in range(1, 7):
         assert known_gr("M3", k) == 2 * k + 4
         assert known_gr("M4", k) == 3 * k + 5
+
+
+def test_known_gr_one_color_is_the_target_order():
+    # with one color, K_|H| is itself a copy of H, and K_{|H|-1} holds
+    # none, so GR_1(H) = |H|; for a bound pair its lower end
+    names = [f"P{m}" for m in range(3, 13)] + [f"C{m}" for m in range(4, 13)]
+    names += [f"M{s}" for s in range(3, 7)] + ["K3"]
+    for name in names:
+        order = 2 * int(name[1:]) if name[0] == "M" else int(name[1:])
+        value = known_gr(name, 1)
+        lower = value[0] if isinstance(value, tuple) else value
+        assert lower == order, (name, value)
 
 
 def test_known_gr_bounds():

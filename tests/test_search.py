@@ -261,12 +261,12 @@ THROUGH_TARGETS = (
 )
 
 
-def through_check(t, adj, u, v, out=None):
+def through_check(t, adj, u, v, out):
     if t.kind == PATH:
         return exists_path_through(adj, u, v, t.size, out)
     if t.kind == CYCLE:
         return exists_cycle_through(adj, u, v, t.size, out)
-    return exists_matching_with_edge(adj, u, v, t.size, len(adj), out)
+    return exists_matching_with_edge(adj, u, v, t.size, out)
 
 
 def test_through_edge_checks_match_oracle():
@@ -294,14 +294,13 @@ def test_through_edge_checks_match_oracle():
                 # a target larger than the host has no copy at all
                 want = t.num_vertices <= n and brute_exists_through(adj, a, b, t)
                 for u, v in ((a, b), (b, a)):
-                    assert through_check(t, adj, u, v) == want, (trial, adj, t.name, u, v)
+                    assert through_check(t, adj, u, v, []) == want, (trial, adj, t.name, u, v)
 
 
 def test_through_edge_checks_record_real_copies():
-    # with `out`, a yes must come with a copy of the target through the
-    # edge: distinct vertices in the target's shape, every edge in the
-    # class; a no leaves `out` empty. Asked with and without `out`, the
-    # checks agree with the brute force.
+    # a yes must come with a copy of the target through the edge in
+    # `out`: distinct vertices in the target's shape, every edge in the
+    # class; a no leaves `out` empty.
     for trial, adj in enumerate(uniform_classes(random.Random(29))):
         n = len(adj)
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1]
@@ -312,7 +311,7 @@ def test_through_edge_checks_record_real_copies():
                     out = []
                     got = through_check(t, adj, u, v, out)
                     where = (trial, adj, t.name, u, v, out)
-                    assert got == through_check(t, adj, u, v) == want, where
+                    assert got == want, where
                     if not got:
                         assert out == [], where
                         continue
@@ -333,6 +332,7 @@ def test_through_edge_checks_start_at_the_narrow_end(monkeypatch):
     # round the edge is given. The verifier passes u < v, and v tends to
     # be the narrow end: behind the verifier's caches, P6,P6@8 takes
     # 43,051 kernel calls, 56,578 from u and 59,326 from the wide end.
+    # The lower bounds fail a wrapper that stops seeing the calls.
     calls = 0
 
     def counted(kernel):
@@ -358,12 +358,12 @@ def test_through_edge_checks_start_at_the_narrow_end(monkeypatch):
                     counts = []
                     for u, v in ((a, b), (b, a)):
                         calls = 0
-                        check(adj, u, v, size)
+                        check(adj, u, v, size, [])
                         counts.append(calls)
-                    assert counts[0] == counts[1], (trial, adj, check.__name__, size, a, b)
+                    assert counts[0] == counts[1] > 0, (trial, adj, check.__name__, size, a, b)
     calls = 0
     assert decide_upper(8, "P6,P6")[0].kind == ALL_FORCED
-    assert calls <= 50_000
+    assert 30_000 <= calls <= 50_000
 
 
 def test_cycle_phase_counts_lower_vertices_as_used():
@@ -431,6 +431,15 @@ def test_verify_embedding_rejects_bad_certificates():
     # cycle wrap-around edge must match too
     cyc = ring(6)
     assert not verify_embedding(cyc, Embedding(even_cycle(4), 1, (0, 1, 2, 3)))
+    assert verify_embedding(cyc, Embedding(even_cycle(6), 1, (0, 1, 2, 3, 4, 5)))
+    # too few vertices, though every edge they span has the color
+    assert not verify_embedding(c, Embedding(even_cycle(6), 1, (0, 1, 2, 3, 4)))
+    # a matching takes exactly 2s vertices, each pair in the claimed color
+    assert verify_embedding(c, Embedding(matching(2), 1, (0, 1, 2, 3)))
+    assert not verify_embedding(c, Embedding(matching(2), 1, (0, 1, 2)))
+    assert not verify_embedding(cyc, Embedding(matching(2), 1, (0, 1, 2, 3, 4, 5)))
+    assert not verify_embedding(c, Embedding(matching(2), 1, (0, 1, 2, 2)))
+    assert not verify_embedding(cyc, Embedding(matching(2), 1, (0, 1, 2, 4)))
 
 
 def test_matching_oracle_agrees_with_blossom():

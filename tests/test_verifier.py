@@ -139,7 +139,7 @@ def test_memo_entries_match_direct_checks(prefixes):
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
         u, v = search.edges[key.bit_length() - 1]
-        assert exists_cycle_through(rows, u, v, 4) == hit, (key, u, v)
+        assert exists_cycle_through(rows, u, v, 4, []) == hit, (key, u, v)
 
 
 def decode(search, mask):
@@ -208,7 +208,7 @@ def test_packed_caches_match_plain_lists(monkeypatch):
     rng = random.Random(54)
     asked = []
 
-    def kernel(row, u, v, out):
+    def kernel(row, u, v, size, out):
         # asked at `key` on `edge`, the loop's current query; a yes
         # records the edges of `copy`, most of the key, and 0 is a no
         copy = 0
@@ -220,7 +220,7 @@ def test_packed_caches_match_plain_lists(monkeypatch):
         asked.append(copy)
         return copy != 0
 
-    monkeypatch.setattr(verifier, "_through_check", lambda t, n: kernel)
+    monkeypatch.setattr(verifier, "exists_matching_with_edge", kernel)
     search = _Search(11, parse_target_list("M2"), True)
     check = search.checks[1]
     ((copies, misses),) = search.caches.values()
@@ -260,7 +260,9 @@ def test_caches_answer_most_through_edge_checks(monkeypatch):
     # C6,P6@8 asks 151,419 through-edge checks; run bare, each is a
     # kernel call. The copy and no-copy caches answer all but 33,373 of
     # them (51,744 with four entries per edge instead of CACHE_SIZE),
-    # so a cache that is switched off or cut short fails here.
+    # so a cache that is switched off or cut short fails here. The
+    # kernels are looked up by name when a search is built; a wrapper
+    # that stops seeing their calls counts too few.
     calls = 0
 
     def counted(kernel):
@@ -275,7 +277,7 @@ def test_caches_answer_most_through_edge_checks(monkeypatch):
         monkeypatch.setattr(verifier, name, counted(getattr(verifier, name)))
     verdict, stats = decide_upper(8, "C6,P6")
     assert verdict.kind == ALL_FORCED and stats.nodes == 151_420
-    assert calls <= 40_000
+    assert 25_000 <= calls <= 40_000
 
 
 def test_reused_search_matches_fresh_one():
@@ -355,8 +357,9 @@ def test_parallel_matches_sequential():
     # each worker keeps its memos across its chunk of subtasks:
     # C4,C4,C4,C4@7 finds its witness (s = 6,791) inside the first chunk,
     # and P5,P5,P3@6 is all_forced at s = 4,593 over 108 subtasks.
+    # M3,M3@8 (s = 24,904) runs the matching kernel inside the workers.
     cases = [(6, "P5,P5"), (5, "P5,P5"), (6, "C6,P3"), (8, "P6,P6"), (7, "P7,P5"), (5, "P3,P3,P3")]
-    cases += [(7, "C4,C4,C4,C4"), (6, "P5,P5,P3")]
+    cases += [(7, "C4,C4,C4,C4"), (6, "P5,P5,P3"), (8, "M3,M3")]
     for n, targets in cases:
         s = decide_upper(n, targets)[1].nodes
         for budget in (s - 1, s, s + 1):
