@@ -17,16 +17,17 @@ pair order, colors ascending) and prunes:
   and edge answer most checks without a search. The answer is monotone
   in the edge set: a class that holds a copy through the edge passes it
   on to every class containing it, and a class without one to every
-  class inside it. So the check answers yes when the edge mask of a
-  copy found earlier through the same edge lies inside the key, and no
-  when the key lies inside a key that was answered no. Both rules are
-  exact; a search runs only when neither applies, and its answer
-  enters the cache. The search is the search module's kernel for the
-  target's kind; the kernels share one signature and always record the
-  copy they find, whose edge mask `TargetGraph.copy_edges` reads off.
-  Each cache keeps its last CACHE_SIZE masks as the fields of one int,
-  and one test on that int asks all of them at once, so the lookup
-  does not slow down as the cache grows,
+  class inside it. So the copy cache answers yes when the edge mask of
+  a copy found earlier through the same edge lies inside the key, and
+  the no-copy cache answers no when the key lies inside a key that was
+  answered no. Both rules are exact. The search loop asks the memo,
+  then the copy cache, then the no-copy cache, and only when none of
+  them answers does it run the search module's kernel for the target's
+  kind and enter its answer. The kernels share one signature and always
+  record the copy they find, whose edge mask `TargetGraph.copy_edges`
+  reads off. Each cache keeps its last CACHE_SIZE masks as the fields
+  of one int, and one test on that int asks all of them at once, so the
+  lookup does not slow down as the cache grows,
 * color-symmetric branches: among colors with identical targets, color
   j+1 may first appear only after color j,
 * vertex-symmetric branches: the colors on edges (0,1) and (0,2) must
@@ -103,68 +104,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _cached(kernel, t: TargetGraph, copies: list[int], misses: list[int],
-            fields: list[tuple[int, int, int]], bits: list[list[int]]):
-    """`kernel`, the through-edge check of `t`, behind two packed caches
-    per edge index: `copies` holds the edge masks of the copies it found
-    through that edge, read off by `t.copy_edges`, and `misses` the
-    keys at which there was none. The key is the class mask with the new
-    edge's bit added, its highest bit. At edge idx each cache is one int
-    of CACHE_SIZE fields, idx + 3 bits wide: the idx + 1 edge bits, an
-    empty bit that no key holds, and a guard bit. With `rep` the key
-    copied into every field, a field of copies & ~rep is 0 exactly when
-    its copy lies inside the key, and a field of rep & ~misses exactly
-    when the key lies inside its miss; both are computed as (a | b) ^ b,
-    which spares Python the negative int ~b. Adding `low`, all ones
-    below each guard bit, carries into the guard bit of every nonzero
-    field and of no other, so one test answers for all fields. An empty
-    copy field holds only its empty bit and an empty miss field is 0,
-    while a key always holds its edge bit: neither ever answers. A new
-    entry shifts in at the bottom and the oldest drops out at the top.
-    `fields` holds ones (the lowest bit of each field), low and guard
-    per edge index."""
-    size = t.size
-    copy_edges = t.copy_edges
-
-    def cached_check(row, u, v, key):
-        idx = key.bit_length() - 1
-        ones, low, guard = fields[idx]
-        rep = key * ones
-        yes = copies[idx]
-        if (((yes | rep) ^ rep) + low) & guard != guard:
-            return True
-        no = misses[idx]
-        if (((rep | no) ^ no) + low) & guard != guard:
-            return False
-        width = idx + 3
-        seq: list[int] = []
-        if kernel(row, u, v, size, seq):
-            mask = 0
-            for a, b in copy_edges(seq):
-                mask |= bits[a][b]
-            copies[idx] = (yes << width | mask) & (low | guard)
-            return True
-        misses[idx] = (no << width | key) & (low | guard)
-        return False
-
-    return cached_check
-
-
-def _memoized(check, memo: dict[int, bool]):
-    """`check` with its results kept in `memo` under their keys: a key
-    fixes the class graph, and its highest bit the new edge."""
-
-    def memo_check(row, u, v, key):
-        hit = memo.get(key)
-        if hit is None:
-            if len(memo) >= MEMO_SIZE:
-                memo.clear()
-            hit = memo[key] = check(row, u, v, key)
-        return hit
-
-    return memo_check
-
-
 class _Search:
     """The search tree below a prefix of the edge order. A leaf at depth
     m is a full coloring that avoids every target: the witness."""
@@ -189,20 +128,27 @@ class _Search:
             prev[col] = last_seen.get(t, 0)
             last_seen[t] = col
         self.prev_same_target = prev
-        # per color: the through-edge check, or None if the target
-        # exceeds K_n. Each stands behind the copy and no-copy caches, and
-        # from three colors on (a two-color key never recurs) behind a
-        # memo too; colors with equal targets share one check
-        bits = [[0] * n for _ in range(n)]
+        # per depth: the rainbow mask of its edge, kept while the search
+        # is below it
+        self.rainbows = [0] * self.m
+        # per vertex pair: its edge's bit in a class mask
+        self.bits = [[0] * n for _ in range(n)]
+        # per edge index: u, v, their bits, the edge bit, and the ones
+        # (the lowest bit of each field), low and guard of the packed
+        # caches (see _dfs). At edge idx a field is idx + 3 bits wide; an
+        # empty copy field holds its empty bit alone
+        self.edge_consts = []
+        empty_copies = []
         for idx, (u, v) in enumerate(self.edges):
-            bits[u][v] = bits[v][u] = 1 << idx
-        # the packed caches' constants per edge index (see _cached)
-        fields = []
-        for idx in range(self.m):
+            self.bits[u][v] = self.bits[v][u] = 1 << idx
             width = idx + 3
             ones = ((1 << width * CACHE_SIZE) - 1) // ((1 << width) - 1)
             guard = ones << width - 1
-            fields.append((ones, guard - ones, guard))
+            self.edge_consts.append((u, v, 1 << u, 1 << v, 1 << idx, ones, guard - ones, guard))
+            empty_copies.append(ones << idx + 1)
+        # per target within K_n: the copy and no-copy caches per edge
+        # index, and from three colors on (a two-color key never recurs)
+        # the memo
         self.caches: dict[TargetGraph, tuple[list[int], list[int]]] = {}
         self.memos: dict[TargetGraph, dict[int, bool]] = {}
         # looked up here, not at import, so that a wrapper set on this
@@ -212,17 +158,19 @@ class _Search:
             CYCLE: exists_cycle_through,
             MATCHING: exists_matching_with_edge,
         }
+        # per color: what its through-edge check needs, or None if the
+        # target exceeds K_n; colors with equal targets share one check.
+        # _dfs asks the memo, then the copy cache, then the no-copy
+        # cache, and runs the kernel only when none of them answers
         checks = {}
         for t in targets:
             if t.num_vertices > n or t in checks:
                 continue
-            # every copy field starts empty: its empty bit alone
-            copies = [f[0] << idx + 1 for idx, f in enumerate(fields)]
+            copies = list(empty_copies)
             misses = [0] * self.m
             self.caches[t] = (copies, misses)
-            checks[t] = _cached(kernels[t.kind], t, copies, misses, fields, bits)
-            if self.k >= 3:
-                checks[t] = _memoized(checks[t], self.memos.setdefault(t, {}))
+            memo = self.memos.setdefault(t, {}) if self.k >= 3 else None
+            checks[t] = (kernels[t.kind], t.size, t.copy_edges, copies, misses, memo)
         self.checks = [None] + [checks.get(t) for t in targets]
         # the vertex rule compares edges (0,1) and (0,2) of the lex order
         self.vertex_rule_idx = 1 if n >= 3 else -1
@@ -253,64 +201,163 @@ class _Search:
         return list(self.assignment)
 
     def _dfs(self, idx: int) -> Optional[list[int]]:
-        if idx == self.leaf_depth:
+        """Search the subtree below the edges colored before `idx`: the
+        first leaf's value, or None once the subtree is exhausted. One
+        loop runs the whole subtree. `assignment` is its stack: a
+        depth's entry is the color it tries, and `rainbows` keeps the
+        depth's rainbow mask. The counters are locals, written back to
+        `stats` before each leaf, which a _PrefixSearch snapshots, and on
+        every exit.
+
+        A color's through-edge check asks its memo, then the packed copy
+        cache, then the no-copy cache, and runs the kernel only when none
+        of them answers. The key is the class mask with the new edge's
+        bit added, its highest bit. The copy cache holds the edge masks
+        of the copies found through that edge, read off by
+        `copy_edges`, and the no-copy cache the keys at which there was
+        none. At edge idx each cache is one int of CACHE_SIZE fields,
+        idx + 3 bits wide: the idx + 1 edge bits, an empty bit that no
+        key holds, and a guard bit. With `rep` the key copied into every
+        field, a field of copies & ~rep is 0 exactly when its copy lies
+        inside the key, and a field of rep & ~misses exactly when the key
+        lies inside its miss; both are computed as (a | b) ^ b, which
+        spares Python the negative int ~b. Adding `low`, all ones below
+        each guard bit, carries into the guard bit of every nonzero field
+        and of no other, so one test answers for all fields. An empty
+        copy field holds only its empty bit and an empty miss field is
+        0, while a key always holds its edge bit: neither ever answers.
+        A new entry shifts in at the bottom and the oldest drops out at
+        the top."""
+        leaf = self.leaf_depth
+        if idx == leaf:
             return self._leaf()
-        u, v = self.edges[idx]
-        ubit = 1 << u
-        vbit = 1 << v
-        ebit = 1 << idx
+        top = idx
+        k = self.k
+        edge_consts = self.edge_consts
         adj = self.adj
+        color_rows = self.color_rows
         nb = self.assigned_nb
-        # w joined to u and v in two different colors closes a rainbow
-        # triangle unless the new edge takes one of those two colors
-        rainbow = 0
-        if self.k >= 3:
-            rainbow = nb[u] & nb[v]
-            for row in self.color_rows:
-                rainbow &= ~(row[u] & row[v])
-        nb[u] |= vbit
-        nb[v] |= ubit
-        stats = self.stats
-        budget = self.budget
         cls = self.cls
-        symmetry = self.symmetry
-        checks = self.checks
         assignment = self.assignment
-        for col in range(1, self.k + 1):
-            stats.nodes += 1
-            if stats.nodes > budget:
-                raise _BudgetExhausted
-            if symmetry:
-                if not cls[col]:
-                    p = self.prev_same_target[col]
-                    if p and not cls[p]:
-                        stats.prunes_symmetry += 1
+        rainbows = self.rainbows
+        checks = self.checks
+        bits = self.bits
+        prev = self.prev_same_target
+        symmetry = self.symmetry
+        vertex_rule_idx = self.vertex_rule_idx
+        budget = self.budget
+        stats = self.stats
+        nodes = stats.nodes
+        prunes_rainbow = stats.prunes_rainbow
+        prunes_mono = stats.prunes_mono
+        prunes_symmetry = stats.prunes_symmetry
+        try:
+            while True:
+                # enter depth idx
+                u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
+                # w joined to u and v in two different colors closes a rainbow
+                # triangle unless the new edge takes one of those two colors
+                rainbow = 0
+                if k >= 3:
+                    rainbow = nb[u] & nb[v]
+                    for row in color_rows:
+                        rainbow &= ~(row[u] & row[v])
+                rainbows[idx] = rainbow
+                nb[u] |= vbit
+                nb[v] |= ubit
+                col = 0
+                while True:
+                    if col == k:
+                        # every color tried: undo this depth, then the color
+                        # its parent tried
+                        nb[u] ^= vbit
+                        nb[v] ^= ubit
+                        assignment[idx] = 0
+                        if idx == top:
+                            return None
+                        idx -= 1
+                        u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
+                        rainbow = rainbows[idx]
+                        col = assignment[idx]
+                        cls[col] ^= ebit
+                        row = adj[col]
+                        row[u] ^= vbit
+                        row[v] ^= ubit
                         continue
-                if idx == self.vertex_rule_idx and col < assignment[0]:
-                    stats.prunes_symmetry += 1
-                    continue
-            row = adj[col]
-            if rainbow and rainbow & ~(row[u] | row[v]):
-                stats.prunes_rainbow += 1
-                continue
-            row[u] |= vbit
-            row[v] |= ubit
-            check = checks[col]
-            if check is not None and check(row, u, v, cls[col] | ebit):
-                stats.prunes_mono += 1
-            else:
-                cls[col] |= ebit
-                assignment[idx] = col
-                found = self._dfs(idx + 1)
-                if found is not None:
-                    return found
-                cls[col] ^= ebit
-            row[u] ^= vbit
-            row[v] ^= ubit
-        nb[u] ^= vbit
-        nb[v] ^= ubit
-        assignment[idx] = 0
-        return None
+                    col += 1
+                    nodes += 1
+                    if nodes > budget:
+                        raise _BudgetExhausted
+                    if symmetry:
+                        if not cls[col]:
+                            p = prev[col]
+                            if p and not cls[p]:
+                                prunes_symmetry += 1
+                                continue
+                        if idx == vertex_rule_idx and col < assignment[0]:
+                            prunes_symmetry += 1
+                            continue
+                    row = adj[col]
+                    if rainbow and rainbow & ~(row[u] | row[v]):
+                        prunes_rainbow += 1
+                        continue
+                    row[u] |= vbit
+                    row[v] |= ubit
+                    check = checks[col]
+                    if check is not None:
+                        kernel, size, copy_edges, copies, misses, memo = check
+                        key = cls[col] | ebit
+                        hit = None if memo is None else memo.get(key)
+                        if hit is None:
+                            rep = key * ones
+                            yes = copies[idx]
+                            if (((yes | rep) ^ rep) + low) & guard != guard:
+                                hit = True
+                            else:
+                                no = misses[idx]
+                                if (((rep | no) ^ no) + low) & guard != guard:
+                                    hit = False
+                                else:
+                                    width = idx + 3
+                                    seq: list[int] = []
+                                    if kernel(row, u, v, size, seq):
+                                        hit = True
+                                        mask = 0
+                                        for a, b in copy_edges(seq):
+                                            mask |= bits[a][b]
+                                        copies[idx] = (yes << width | mask) & (low | guard)
+                                    else:
+                                        hit = False
+                                        misses[idx] = (no << width | key) & (low | guard)
+                            if memo is not None:
+                                if len(memo) >= MEMO_SIZE:
+                                    memo.clear()
+                                memo[key] = hit
+                        if hit:
+                            prunes_mono += 1
+                            row[u] ^= vbit
+                            row[v] ^= ubit
+                            continue
+                    cls[col] |= ebit
+                    assignment[idx] = col
+                    if idx + 1 < leaf:
+                        idx += 1
+                        break
+                    stats.nodes = nodes
+                    stats.prunes_rainbow = prunes_rainbow
+                    stats.prunes_mono = prunes_mono
+                    stats.prunes_symmetry = prunes_symmetry
+                    found = self._leaf()
+                    if found is not None:
+                        return found
+                    cls[col] ^= ebit
+                    row[u] ^= vbit
+                    row[v] ^= ubit
+        finally:
+            stats.nodes = nodes
+            stats.prunes_rainbow = prunes_rainbow
+            stats.prunes_mono = prunes_mono
+            stats.prunes_symmetry = prunes_symmetry
 
 
 class _PrefixSearch(_Search):

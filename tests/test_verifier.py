@@ -24,6 +24,8 @@ from gallai_ramsey.search import exists_cycle_through
 from gallai_ramsey.verifier import (
     CACHE_SIZE,
     MEMO_SIZE,
+    SearchStats,
+    _PrefixSearch,
     _Search,
     _solve,
     _solve_subtask,
@@ -112,6 +114,34 @@ def test_search_statistics_are_pinned(n, targets, budget, kind, counts):
     assert verdict.kind == kind
     got = (stats.nodes, stats.prunes_rainbow, stats.prunes_mono, stats.prunes_symmetry)
     assert got == counts
+
+
+@pytest.mark.parametrize(
+    "n, targets, budget, want",
+    [
+        (7, "C4,C4,C4", 1, (2, 0, 0, 0)),
+        (7, "C4,C4,C4", 17, (18, 0, 5, 0)),
+        (7, "C4,C4,C4,C4", 5_000, (5_001, 2_501, 1_197, 42)),
+    ],
+)
+def test_counters_at_budget_stops(n, targets, budget, want):
+    # the search loop keeps its counters in locals and writes them back
+    # when it stops; a stop at the budget must report them as they stood
+    # at the node over the budget, written back once
+    verdict, stats = decide_upper(n, targets, budget)
+    assert verdict.kind == BUDGET
+    assert counts(stats) == want
+
+
+def test_prefix_search_counters_at_budget_stop():
+    # the split's top levels write their counters back at every prefix,
+    # for its snapshot, and again at the stop: C4,C4,C4,C4@7 at budget
+    # 100 reaches 53 prefixes, the last at 100 nodes, and stops at 101
+    top = _PrefixSearch(7, parse_target_list("C4,C4,C4,C4"), True)
+    colors, stats = _solve(top, (), 100)
+    assert colors is None and counts(stats) == (101, 0, 0, 19)
+    assert len(top.prefixes) == 53
+    assert top.prefixes[-1] == ((1, 2, 1, 1, 1, 2), SearchStats(100, 0, 0, 19))
 
 
 @pytest.mark.parametrize(
@@ -204,16 +234,23 @@ def test_packed_caches_match_plain_lists(monkeypatch):
     # answers no, and only otherwise does the kernel run. Here the kernel
     # answers at random and records a random part of the key as its copy.
     # Edges 17, 40 and 54 take more than CACHE_SIZE entries in each cache,
-    # so old ones drop out
+    # so old ones drop out. The queries run through the search loop: on
+    # M2,M2 both colors share one check, and a prefix that gives color 1
+    # the key's edges below `edge` and color 2 the others asks color 1 at
+    # the key and, if that answers yes, color 2 at the complement. The
+    # answers show in the leaf reached at depth edge + 1 and in the
+    # mono prunes.
     rng = random.Random(54)
     asked = []
 
     def kernel(row, u, v, size, out):
-        # asked at `key` on `edge`, the loop's current query; a yes
-        # records the edges of `copy`, most of the key, and 0 is a no
+        # the key is the class in `row`; a yes records the edges of
+        # `copy`, most of the key, and 0 is a no
+        key = sum(1 << idx for idx, (a, b) in enumerate(search.edges) if row[a] >> b & 1)
         copy = 0
         if rng.random() < 0.5:
-            copy = key & (1 << edge | sum(1 << i for i in range(edge) if rng.random() < 0.9))
+            top = key.bit_length() - 1
+            copy = key & (1 << top | sum(1 << i for i in range(top) if rng.random() < 0.9))
         for idx, (a, b) in enumerate(search.edges):
             if copy >> idx & 1:
                 out += (a, b)
@@ -221,34 +258,48 @@ def test_packed_caches_match_plain_lists(monkeypatch):
         return copy != 0
 
     monkeypatch.setattr(verifier, "exists_matching_with_edge", kernel)
-    search = _Search(11, parse_target_list("M2"), True)
-    check = search.checks[1]
+    search = _Search(11, parse_target_list("M2,M2"), False)
     ((copies, misses),) = search.caches.values()
     plain = {edge: ([], []) for edge in (0, 2, 9, 17, 40, 54)}
     answers = {True: 0, False: 0, None: 0}
     entered = {(edge, yes): 0 for edge in plain for yes in (True, False)}
-    for _ in range(6_000):
+    queries = 0
+    while queries < 6_000:
         edge = rng.choice(list(plain))
         density = rng.uniform(0.2, 0.8)
         key = 1 << edge | sum(1 << i for i in range(edge) if rng.random() < density)
+        prefix = [1 if key >> i & 1 else 2 for i in range(edge)]
+        search.start(prefix, DEFAULT_BUDGET)
+        search.leaf_depth = edge + 1
+        leaf = search._dfs(edge)
+        assert leaf is None or leaf[:edge] == prefix, (edge, key)
+        # color 1 answers yes unless the leaf took it, color 2 (asked
+        # only after a yes) unless the leaf took it
+        got = [leaf is None or leaf[edge] == 2]
+        if got[0]:
+            got.append(leaf is None)
+        assert search.stats.prunes_mono == sum(got), (edge, key)
         yes, no = plain[edge]
-        if any(mask & key == mask for mask in yes):
-            want = True
-        elif any(key & mask == key for mask in no):
-            want = False
-        else:
-            want = None
-        answers[want] += 1
-        got = check(None, *search.edges[edge], key)
-        if want is None:
-            (copy,) = asked
-            assert got == (copy != 0), (edge, key)
-            entries, entry = (yes, copy) if got else (no, key)
-            entered[edge, got] += 1
-            entries.insert(0, entry)
-            del entries[CACHE_SIZE:]
-        else:
-            assert (asked, got) == ([], want), (edge, key)
+        calls = iter(asked)
+        for query, hit in zip((key, key ^ (1 << edge) - 1), got):
+            queries += 1
+            if any(mask & query == mask for mask in yes):
+                want = True
+            elif any(query & mask == query for mask in no):
+                want = False
+            else:
+                want = None
+            answers[want] += 1
+            if want is None:
+                copy = next(calls)
+                assert hit == (copy != 0), (edge, query)
+                entries, entry = (yes, copy) if hit else (no, query)
+                entered[edge, hit] += 1
+                entries.insert(0, entry)
+                del entries[CACHE_SIZE:]
+            else:
+                assert hit == want, (edge, query)
+        assert next(calls, None) is None, (edge, key)
         asked.clear()
         assert [m for m in unpack(copies[edge], edge) if m != 1 << edge + 1] == yes, edge
         assert [k for k in unpack(misses[edge], edge) if k] == no, edge
@@ -256,28 +307,53 @@ def test_packed_caches_match_plain_lists(monkeypatch):
     assert all(entered[edge, yes] > CACHE_SIZE for edge in (17, 40, 54) for yes in (True, False))
 
 
-def test_caches_answer_most_through_edge_checks(monkeypatch):
-    # C6,P6@8 asks 151,419 through-edge checks; run bare, each is a
-    # kernel call. The copy and no-copy caches answer all but 33,373 of
-    # them (51,744 with four entries per edge instead of CACHE_SIZE),
-    # so a cache that is switched off or cut short fails here. The
-    # kernels are looked up by name when a search is built; a wrapper
-    # that stops seeing their calls counts too few.
-    calls = 0
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A count, in a one-element list, of the calls to the verifier's
+    through-edge kernels. The kernels are looked up by name when a
+    search is built; a wrapper that stops seeing their calls counts too
+    few."""
+    calls = [0]
 
     def counted(kernel):
         def wrapper(*args):
-            nonlocal calls
-            calls += 1
+            calls[0] += 1
             return kernel(*args)
 
         return wrapper
 
     for name in ("exists_path_through", "exists_cycle_through", "exists_matching_with_edge"):
         monkeypatch.setattr(verifier, name, counted(getattr(verifier, name)))
+    return calls
+
+
+def test_caches_answer_most_through_edge_checks(kernel_calls):
+    # C6,P6@8 asks 151,419 through-edge checks; run bare, each is a
+    # kernel call. The copy and no-copy caches answer all but 33,373 of
+    # them (51,744 with four entries per edge instead of CACHE_SIZE),
+    # so a cache that is switched off or cut short fails here.
     verdict, stats = decide_upper(8, "C6,P6")
     assert verdict.kind == ALL_FORCED and stats.nodes == 151_420
-    assert 25_000 <= calls <= 40_000
+    assert 25_000 <= kernel_calls[0] <= 40_000
+
+
+@pytest.mark.parametrize(
+    "n, targets, budget, calls",
+    [
+        (8, "C6,P6", DEFAULT_BUDGET, 33_373),
+        (8, "P7,P5", DEFAULT_BUDGET, 6_033),
+        (8, "P6,P6", DEFAULT_BUDGET, 4_932),
+        (7, "P5,P5,P5,P3", DEFAULT_BUDGET, 1_465),
+        (7, "C4,C4,C4", DEFAULT_BUDGET, 6_551),
+        (10, "M3,M3,M3", 100_000, 1_931),
+    ],
+)
+def test_kernel_calls_are_pinned(kernel_calls, n, targets, budget, calls):
+    # the exact number of kernel calls behind the memo and the packed
+    # caches: a lookup that answers a check it should not, misses an
+    # entry, stores one late or skips the memo for a cache hit moves it
+    decide_upper(n, targets, budget)
+    assert kernel_calls[0] == calls
 
 
 def test_reused_search_matches_fresh_one():
