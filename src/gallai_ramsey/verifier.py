@@ -38,21 +38,25 @@ witness; an empty tree means every Gallai coloring is forced. The two
 symmetry rules never change the verdict, only the statistics, and can
 be switched off for testing.
 
-The budget bounds the node count in this sequential search order. A
-parallel run cuts the tree at SPLIT_DEPTH edges into subtasks and folds
-their results in prefix order, each counted at its sequential position,
-so the verdict and witness never depend on the thread count. Each pool
-worker keeps one search, and with it the memos and the caches, for the
-whole call and takes the subtasks in contiguous chunks, so that
-neighbouring prefixes share their entries.
+One loop, `_Search.leaves`, walks the tree below a prefix and yields
+each node at a given depth with the counters reached there. The budget
+bounds the node count in this sequential search order: the loop stops
+once the count exceeds it. A sequential run and each pool subtask take
+the first leaf at full depth, the witness. A parallel run takes every
+leaf at SPLIT_DEPTH edges from one search as the prefixes of its
+subtasks and folds their results in prefix order, each counted at its
+sequential position, so the verdict and witness never depend on the
+thread count. Each pool worker keeps one search, and with it the memos
+and the caches, for the whole call and takes the subtasks in contiguous
+chunks, so that neighbouring prefixes share their entries.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterator, Optional, Sequence
 
 from .coloring import EdgeColoring, RainbowWitness, is_gallai
 from .construction import build_lower_bound_coloring
@@ -100,10 +104,6 @@ class SearchStats:
         return asdict(self)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _Search:
     """The search tree below a prefix of the edge order. A leaf at depth
     m is a full coloring that avoids every target: the witness."""
@@ -112,7 +112,6 @@ class _Search:
         self.k = len(targets)
         self.edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         self.m = len(self.edges)
-        self.leaf_depth = self.m
         self.symmetry = symmetry
         self.adj = [[0] * n for _ in range(self.k + 1)]
         # the rows of colors 1..k; row 0 stays empty
@@ -135,8 +134,8 @@ class _Search:
         self.bits = [[0] * n for _ in range(n)]
         # per edge index: u, v, their bits, the edge bit, and the ones
         # (the lowest bit of each field), low and guard of the packed
-        # caches (see _dfs). At edge idx a field is idx + 3 bits wide; an
-        # empty copy field holds its empty bit alone
+        # caches (see leaves). At edge idx a field is idx + 3 bits wide;
+        # an empty copy field holds its empty bit alone
         self.edge_consts = []
         empty_copies = []
         for idx, (u, v) in enumerate(self.edges):
@@ -160,7 +159,7 @@ class _Search:
         }
         # per color: what its through-edge check needs, or None if the
         # target exceeds K_n; colors with equal targets share one check.
-        # _dfs asks the memo, then the copy cache, then the no-copy
+        # `leaves` asks the memo, then the copy cache, then the no-copy
         # cache, and runs the kernel only when none of them answers
         checks = {}
         for t in targets:
@@ -175,39 +174,24 @@ class _Search:
         # the vertex rule compares edges (0,1) and (0,2) of the lex order
         self.vertex_rule_idx = 1 if n >= 3 else -1
 
-    def start(self, prefix: Sequence[int], budget: int) -> None:
-        """Clear what an earlier run left, a stop at a witness or at the
-        budget included, then color `prefix`. The memos and the caches
-        stay: a key fixes the class graph and the new edge, and a cache
-        entry states a fact about an edge set, so neither depends on the
-        prefix. `color_rows` holds the rows of `adj`, so they are
-        cleared in place."""
-        self.budget = budget
-        self.stats = SearchStats()
-        for row in self.adj:
-            row[:] = [0] * len(row)
-        self.assigned_nb[:] = [0] * len(self.assigned_nb)
-        self.assignment[:] = [0] * self.m
-        self.cls[:] = [0] * (self.k + 1)
-        for idx, col in enumerate(prefix):
-            u, v = self.edges[idx]
-            for a, b in ((u, v), (v, u)):
-                self.adj[col][a] |= 1 << b
-                self.assigned_nb[a] |= 1 << b
-            self.cls[col] |= 1 << idx
-            self.assignment[idx] = col
+    def leaves(
+        self, prefix: Sequence[int], budget: int, leaf: int
+    ) -> Iterator[tuple[list[int], SearchStats]]:
+        """Color `prefix`, shorter than `leaf`, then yield each node at
+        depth `leaf` below it, in the sequential order, as its colors
+        with the counters reached there; stop once more than `budget`
+        nodes have been tried. A leaf at depth m is a witness. Whatever
+        an earlier run left, a stop at a witness or at the budget
+        included, is cleared first. The memos and the caches stay: a key
+        fixes the class graph and the new edge, and a cache entry states
+        a fact about an edge set, so neither depends on the prefix.
 
-    def _leaf(self) -> Optional[list[int]]:
-        return list(self.assignment)
-
-    def _dfs(self, idx: int) -> Optional[list[int]]:
-        """Search the subtree below the edges colored before `idx`: the
-        first leaf's value, or None once the subtree is exhausted. One
-        loop runs the whole subtree. `assignment` is its stack: a
+        One loop runs the whole subtree. `assignment` is its stack: a
         depth's entry is the color it tries, and `rainbows` keeps the
         depth's rainbow mask. The counters are locals, written back to
-        `stats` before each leaf, which a _PrefixSearch snapshots, and on
-        every exit.
+        `stats` on every exit: once the subtree is exhausted, at the
+        budget, where nodes then exceeds it, and when the caller closes
+        the generator at a leaf, where they equal the leaf's.
 
         A color's through-edge check asks its memo, then the packed copy
         cache, then the no-copy cache, and runs the kernel only when none
@@ -228,10 +212,6 @@ class _Search:
         0, while a key always holds its edge bit: neither ever answers.
         A new entry shifts in at the bottom and the oldest drops out at
         the top."""
-        leaf = self.leaf_depth
-        if idx == leaf:
-            return self._leaf()
-        top = idx
         k = self.k
         edge_consts = self.edge_consts
         adj = self.adj
@@ -245,12 +225,23 @@ class _Search:
         prev = self.prev_same_target
         symmetry = self.symmetry
         vertex_rule_idx = self.vertex_rule_idx
-        budget = self.budget
-        stats = self.stats
-        nodes = stats.nodes
-        prunes_rainbow = stats.prunes_rainbow
-        prunes_mono = stats.prunes_mono
-        prunes_symmetry = stats.prunes_symmetry
+        # `color_rows` holds the rows of `adj`, so they are cleared in place
+        for row in adj:
+            row[:] = [0] * len(row)
+        nb[:] = [0] * len(nb)
+        assignment[:] = [0] * self.m
+        cls[:] = [0] * (k + 1)
+        for idx, col in enumerate(prefix):
+            u, v, ubit, vbit, ebit, *_ = edge_consts[idx]
+            adj[col][u] |= vbit
+            adj[col][v] |= ubit
+            nb[u] |= vbit
+            nb[v] |= ubit
+            cls[col] |= ebit
+            assignment[idx] = col
+        idx = top = len(prefix)
+        stats = self.stats = SearchStats()
+        nodes = prunes_rainbow = prunes_mono = prunes_symmetry = 0
         try:
             while True:
                 # enter depth idx
@@ -274,7 +265,7 @@ class _Search:
                         nb[v] ^= ubit
                         assignment[idx] = 0
                         if idx == top:
-                            return None
+                            return
                         idx -= 1
                         u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
                         rainbow = rainbows[idx]
@@ -287,7 +278,7 @@ class _Search:
                     col += 1
                     nodes += 1
                     if nodes > budget:
-                        raise _BudgetExhausted
+                        return
                     if symmetry:
                         if not cls[col]:
                             p = prev[col]
@@ -343,13 +334,10 @@ class _Search:
                     if idx + 1 < leaf:
                         idx += 1
                         break
-                    stats.nodes = nodes
-                    stats.prunes_rainbow = prunes_rainbow
-                    stats.prunes_mono = prunes_mono
-                    stats.prunes_symmetry = prunes_symmetry
-                    found = self._leaf()
-                    if found is not None:
-                        return found
+                    yield (
+                        assignment[:leaf],
+                        SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry),
+                    )
                     cls[col] ^= ebit
                     row[u] ^= vbit
                     row[v] ^= ubit
@@ -358,20 +346,6 @@ class _Search:
             stats.prunes_rainbow = prunes_rainbow
             stats.prunes_mono = prunes_mono
             stats.prunes_symmetry = prunes_symmetry
-
-
-class _PrefixSearch(_Search):
-    """The top SPLIT_DEPTH levels of the tree. Its leaf records the
-    prefix with a copy of the counters reached there, and the search
-    goes on."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.leaf_depth = SPLIT_DEPTH
-        self.prefixes: list[tuple[tuple[int, ...], SearchStats]] = []
-
-    def _leaf(self) -> None:
-        self.prefixes.append((tuple(self.assignment[:SPLIT_DEPTH]), replace(self.stats)))
 
 
 def _as_targets(spec_or_targets) -> list[TargetGraph]:
@@ -384,14 +358,15 @@ def _solve(
     search: _Search, prefix: Sequence[int], budget: int
 ) -> tuple[Optional[list[int]], SearchStats]:
     """Search the subtree below `prefix` (the whole tree when empty)
-    within `budget` nodes: the witness colors, if any, and the counters,
-    which exceed the budget when it ran out. Sequential runs, the split's
-    top levels and pool subtasks all run this."""
-    search.start(prefix, budget)
-    try:
-        return search._dfs(len(prefix)), search.stats
-    except _BudgetExhausted:
-        return None, search.stats
+    within `budget` nodes: the first witness with the counters reached
+    there, or None with the counters, which exceed the budget when it
+    ran out. Sequential runs and pool subtasks run this; the split's top
+    levels take every leaf of `leaves` at SPLIT_DEPTH instead."""
+    # returning drops the generator, which closes it at its yield, and
+    # its `finally` writes the witness's counters back to search.stats
+    for found in search.leaves(prefix, budget, search.m):
+        return found
+    return None, search.stats
 
 
 # the search of a pool worker, built once by the pool's initializer, and
@@ -406,7 +381,7 @@ def _start_worker(n: int, targets: Sequence[TargetGraph], symmetry: bool) -> Non
     _worker_stopped = False
 
 
-def _solve_subtask(task: tuple[tuple[int, ...], int]) -> tuple[Optional[list[int]], SearchStats]:
+def _solve_subtask(task: tuple[Sequence[int], int]) -> tuple[Optional[list[int]], SearchStats]:
     """_solve on the worker's search. A worker receives its prefixes in
     increasing order, and the fold breaks at or before the prefix where
     the worker stopped, so once stopped it answers every later task at
@@ -427,28 +402,30 @@ def _add(total: SearchStats, part: SearchStats) -> None:
 
 
 def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[int]], SearchStats]:
-    """_solve on the whole tree, its subtrees below SPLIT_DEPTH run by
-    at most `threads` worker processes. Each worker keeps one search,
-    memos included, for the whole call, and takes the subtasks in
-    contiguous chunks, as Pool.map sizes them, so that neighbouring
-    prefixes, which share memo keys, meet the same memo. Subtask j may
-    use the nodes left when the sequential order reaches prefix j; the
-    fold stops at a witness or once the sequential count exceeds the
-    budget, and a worker skips the rest of its tasks after such a stop
-    of its own. Leaving the pool's block terminates and joins the
-    workers, so none outlives the call."""
-    top = _PrefixSearch(n, targets, symmetry)
-    _solve(top, (), budget)  # on exhaustion, fold the prefixes reached
-    if not top.prefixes:
+    """_solve on the whole tree, split at SPLIT_DEPTH: one search yields
+    the prefixes there, each with the counters reached at it, and at
+    most `threads` worker processes run the subtrees below them. Each
+    worker keeps one search, memos included, for the whole call, and
+    takes the subtasks in contiguous chunks, as Pool.map sizes them, so
+    that neighbouring prefixes, which share memo keys, meet the same
+    memo. Subtask j may use the nodes left when the sequential order
+    reaches prefix j; the fold stops at a witness or once the sequential
+    count exceeds the budget, and a worker skips the rest of its tasks
+    after such a stop of its own. Leaving the pool's block terminates
+    and joins the workers, so none outlives the call."""
+    top = _Search(n, targets, symmetry)
+    # a budget stop up here still hands out the prefixes reached
+    prefixes = list(top.leaves((), budget, SPLIT_DEPTH))
+    if not prefixes:
         return None, top.stats
     stats = SearchStats()
-    tasks = ((prefix, budget - before.nodes) for prefix, before in top.prefixes)
-    workers = min(threads, len(top.prefixes))
-    chunk = -(-len(top.prefixes) // (4 * workers))
+    tasks = ((prefix, budget - before.nodes) for prefix, before in prefixes)
+    workers = min(threads, len(prefixes))
+    chunk = -(-len(prefixes) // (4 * workers))
     init = (n, targets, symmetry)
     with multiprocessing.Pool(workers, initializer=_start_worker, initargs=init) as pool:
         results = pool.imap(_solve_subtask, tasks, chunksize=chunk)
-        for (_, before), (colors, sub) in zip(top.prefixes, results):
+        for (_, before), (colors, sub) in zip(prefixes, results):
             _add(stats, sub)
             if colors is not None or before.nodes + stats.nodes > budget:
                 _add(stats, before)

@@ -24,8 +24,8 @@ from gallai_ramsey.search import exists_cycle_through
 from gallai_ramsey.verifier import (
     CACHE_SIZE,
     MEMO_SIZE,
+    SPLIT_DEPTH,
     SearchStats,
-    _PrefixSearch,
     _Search,
     _solve,
     _solve_subtask,
@@ -134,14 +134,25 @@ def test_counters_at_budget_stops(n, targets, budget, want):
 
 
 def test_prefix_search_counters_at_budget_stop():
-    # the split's top levels write their counters back at every prefix,
-    # for its snapshot, and again at the stop: C4,C4,C4,C4@7 at budget
-    # 100 reaches 53 prefixes, the last at 100 nodes, and stops at 101
-    top = _PrefixSearch(7, parse_target_list("C4,C4,C4,C4"), True)
-    colors, stats = _solve(top, (), 100)
-    assert colors is None and counts(stats) == (101, 0, 0, 19)
-    assert len(top.prefixes) == 53
-    assert top.prefixes[-1] == ((1, 2, 1, 1, 1, 2), SearchStats(100, 0, 0, 19))
+    # the split's top levels yield each prefix with the counters reached
+    # there and write them back once more at the stop: C4,C4,C4,C4@7 at
+    # budget 100 reaches 53 prefixes, the last at 100 nodes, and stops
+    # at 101
+    top = _Search(7, parse_target_list("C4,C4,C4,C4"), True)
+    prefixes = list(top.leaves((), 100, SPLIT_DEPTH))
+    assert counts(top.stats) == (101, 0, 0, 19)
+    assert len(prefixes) == 53
+    assert prefixes[-1] == ([1, 2, 1, 1, 1, 2], SearchStats(100, 0, 0, 19))
+
+
+def test_witness_stop_writes_back_its_counters():
+    # a stop at a witness closes the search loop at its yield; the
+    # counters it then writes back must be those yielded with the
+    # witness, as a budget stop's are those at the node over the budget
+    search = _Search(7, parse_target_list("C4,C4,C4,C4"), True)
+    colors, stats = _solve(search, (), DEFAULT_BUDGET)
+    assert colors is not None
+    assert counts(stats) == counts(search.stats) == (6_791, 3_329, 1_714, 42)
 
 
 @pytest.mark.parametrize(
@@ -269,9 +280,7 @@ def test_packed_caches_match_plain_lists(monkeypatch):
         density = rng.uniform(0.2, 0.8)
         key = 1 << edge | sum(1 << i for i in range(edge) if rng.random() < density)
         prefix = [1 if key >> i & 1 else 2 for i in range(edge)]
-        search.start(prefix, DEFAULT_BUDGET)
-        search.leaf_depth = edge + 1
-        leaf = search._dfs(edge)
+        leaf = next(search.leaves(prefix, DEFAULT_BUDGET, edge + 1), (None,))[0]
         assert leaf is None or leaf[:edge] == prefix, (edge, key)
         # color 1 answers yes unless the leaf took it, color 2 (asked
         # only after a yes) unless the leaf took it
@@ -434,18 +443,27 @@ def test_parallel_matches_sequential():
     # C4,C4,C4,C4@7 finds its witness (s = 6,791) inside the first chunk,
     # and P5,P5,P3@6 is all_forced at s = 4,593 over 108 subtasks.
     # M3,M3@8 (s = 24,904) runs the matching kernel inside the workers.
+    # With symmetry off, P5,P5,P3@6 is all_forced at s = 9,402 and
+    # P5,P5@5 bad_coloring at s = 15; C4,C4,C4,C4@7 finds its witness at
+    # s = 11,935, and workers that kept the color rule there would stop
+    # at the symmetric run's witness instead.
     cases = [(6, "P5,P5"), (5, "P5,P5"), (6, "C6,P3"), (8, "P6,P6"), (7, "P7,P5"), (5, "P3,P3,P3")]
     cases += [(7, "C4,C4,C4,C4"), (6, "P5,P5,P3"), (8, "M3,M3")]
-    for n, targets in cases:
-        s = decide_upper(n, targets)[1].nodes
+    off = [(6, "P5,P5,P3"), (5, "P5,P5"), (7, "C4,C4,C4,C4")]
+    cases = [(n, targets, True) for n, targets in cases]
+    cases += [(n, targets, False) for n, targets in off]
+    for n, targets, symmetry in cases:
+        s = decide_upper(n, targets, symmetry=symmetry)[1].nodes
         for budget in (s - 1, s, s + 1):
-            v_seq, s_seq = decide_upper(n, targets, budget)
-            v_par, s_par = decide_upper(n, targets, budget, threads=2)
-            assert v_par.kind == v_seq.kind, (targets, budget)
+            v_seq, s_seq = decide_upper(n, targets, budget, symmetry=symmetry)
+            v_par, s_par = decide_upper(n, targets, budget, symmetry=symmetry, threads=2)
+            assert v_par.kind == v_seq.kind, (targets, budget, symmetry)
             assert v_par.witness == v_seq.witness
             assert (v_seq.kind == BUDGET) == (budget < s)
             if v_seq.kind != BUDGET:
                 assert counts(s_par) == counts(s_seq)
+    got = [counts(decide_upper(n, targets, symmetry=False, threads=2)[1]) for n, targets in off]
+    assert got == [(9_402, 2_684, 3_585, 0), (15, 0, 5, 0), (11_935, 5_950, 2_993, 0)]
 
 
 @pytest.mark.parametrize(
