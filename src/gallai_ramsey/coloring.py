@@ -5,12 +5,27 @@ pair of K_n. Colors live in a flat triangular array in lexicographic
 pair order (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1); that
 order is also the wire format used by read_coloring/write_coloring.
 
-The rainbow test works on bit-planes. With L = k.bit_length(), plane j
-of vertex v is the mask of the w whose color c(v, w) has binary digit j
-set; the L planes of v are packed into one int, plane j at bits j*n and
-up. Two vertices u, v then see w in different colors exactly where the
-XOR of their packed ints has a bit in some plane, so each pair costs a
-constant number of big-int operations, whatever k is.
+The rainbow test works on bit-planes. With L the bit length of the
+largest used color, plane j of vertex v is the mask of the w whose color
+c(v, w) has binary digit j set; the L planes of v are packed into one
+int, plane j at bits j*n and up. Two vertices u, v then see w in
+different colors exactly where the XOR of their packed ints has a bit in
+some plane, so each pair costs a constant number of big-int operations,
+whatever k is.
+
+The per-edge work of the core runs at C speed where it can:
+- the class adjacency of a host with many vertices per used color
+  comes from one n x n byte matrix of color codes, turned into each
+  color's rows by one translate and one int(row, 2) per vertex (see
+  _rows_from_bytes); small hosts and hosts with many colors keep the
+  loop over pairs, which is faster there;
+- read_coloring parses and range-checks a palette color's canonical
+  token by one dict lookup, and write_coloring names each used color
+  once and joins its rows from slices of one token list;
+- random_gallai writes each block pair with one slice assignment per
+  vertex of the first block, since every block is a vertex range.
+Everything sized by the palette follows the colors used, not k: the
+slots of unused colors share one row of zeros.
 """
 
 from __future__ import annotations
@@ -66,7 +81,7 @@ class EdgeColoring:
     symmetric in its arguments.
     """
 
-    __slots__ = ("n", "k", "colors", "_adj")
+    __slots__ = ("n", "k", "colors", "_used", "_adj")
 
     def __init__(self, n: int, k: int, colors: Sequence[int]):
         if n < 2:
@@ -83,12 +98,18 @@ class EdgeColoring:
             raise ValueError(
                 f"expected {expected} edge colors for n={n}, got {len(colors)}"
             )
-        for c in colors:
-            if not 1 <= c <= k:
-                raise ColorOutOfRangeError(f"color {c} outside palette [1, {k}]")
+        # the range check reads the ends of the used colors (faster than
+        # min and max of the tuple); only a failure scans for the first
+        # bad color, so the message names it
+        used = sorted(set(colors))
+        if not (1 <= used[0] and used[-1] <= k):
+            for c in colors:
+                if not 1 <= c <= k:
+                    raise ColorOutOfRangeError(f"color {c} outside palette [1, {k}]")
         self.n = n
         self.k = k
         self.colors = colors
+        self._used = used
         self._adj = None
 
     def color(self, u: int, v: int) -> int:
@@ -99,24 +120,29 @@ class EdgeColoring:
         return self.colors[pair_index(self.n, u, v)]
 
     def used_colors(self) -> list[int]:
-        return sorted(set(self.colors))
+        return list(self._used)
 
     def color_adjacency(self) -> list[list[int]]:
         """Per-color neighbor bitmasks, indexed adj[color][vertex].
 
-        Slot 0 is unused. Built once and cached; cheap to share since
-        the coloring never changes after construction.
+        Slot 0 and the slots of unused colors share one row of zeros, so
+        the build costs nothing per unused color. Built once and cached;
+        cheap to share since the coloring never changes after
+        construction. Callers must not mutate the rows.
+
+        A host with at least BYTE_BUILD_RATIO vertices per used color
+        and at most BYTE_BUILD_MAX_COLORS used colors gets its rows from
+        a byte matrix (_rows_from_bytes), any other from the loop over
+        pairs (_rows_from_pairs); both give the same rows.
         """
         if self._adj is None:
-            adj = [[0] * self.n for _ in range(self.k + 1)]
-            idx = 0
-            cols = self.colors
-            for u in range(self.n - 1):
-                for v in range(u + 1, self.n):
-                    c = cols[idx]
-                    idx += 1
-                    adj[c][u] |= 1 << v
-                    adj[c][v] |= 1 << u
+            n = self.n
+            used = self._used
+            adj = [[0] * n] * (self.k + 1)
+            if len(used) <= min(n // BYTE_BUILD_RATIO, BYTE_BUILD_MAX_COLORS):
+                _rows_from_bytes(n, self.colors, used, adj)
+            else:
+                _rows_from_pairs(n, self.colors, used, adj)
             self._adj = adj
         return self._adj
 
@@ -130,6 +156,64 @@ class EdgeColoring:
 
     def __repr__(self) -> str:
         return f"EdgeColoring(n={self.n}, k={self.k})"
+
+
+# The byte build costs a few slice copies per vertex plus, per used
+# color, a translate of n*n bytes and one int() of n digits per vertex;
+# the loop costs one Python step per pair. On uniform random colorings
+# (2-core VM, Python 3.11) the byte build won from 8 to 14 vertices per
+# used color on (n = 28 with 2 colors, 30 with 3, 48 with 6), and at no
+# n once some 30 colors are used, as its per-color cost grows like n*n
+# too (at n = 320: 0.69 of the loop's time with 20 colors, 0.82 with
+# 26, 1.2 with 40). The two limits below sit inside those bounds.
+BYTE_BUILD_RATIO = 12
+BYTE_BUILD_MAX_COLORS = 24
+
+
+def _rows_from_pairs(n: int, colors: Sequence[int], used: Sequence[int], adj: list) -> None:
+    """Give each used color of `adj` its rows, one pair at a time."""
+    for a in used:
+        adj[a] = [0] * n
+    idx = 0
+    for u in range(n - 1):
+        for v in range(u + 1, n):
+            c = colors[idx]
+            idx += 1
+            adj[c][u] |= 1 << v
+            adj[c][v] |= 1 << u
+
+
+def _rows_from_bytes(n: int, colors: Sequence[int], used: Sequence[int], adj: list) -> None:
+    """Give each used color of `adj` its rows, from one byte matrix.
+
+    The i-th of the used colors (at most 255) has byte code i. Cell
+    (u, v) of an n x n bytearray holds the code of c(u, v) and the
+    diagonal holds 0: the slice of row u in the flat array goes into
+    row u right of the diagonal and, by one step-n extended slice, into
+    column u below it. Reversed, the matrix holds vertex v's row at row
+    n-1-v with vertex w at column n-1-w, so once a translate maps one
+    code to "1" and every other byte to "0", int(row, 2) of that row
+    has bit w set exactly where c(v, w) is that color.
+    """
+    codes = range(1, len(used) + 1)
+    flat = bytes(map(dict(zip(used, codes)).__getitem__, colors))
+    size = n * n
+    matrix = bytearray(size)
+    idx = 0
+    for u in range(n - 1):
+        seg = flat[idx:idx + n - 1 - u]
+        idx += n - 1 - u
+        matrix[u * n + u + 1:u * n + n] = seg
+        matrix[u * n + n + u::n] = seg
+    matrix.reverse()
+    table = bytearray(b"0" * 256)
+    for a, code in zip(used, codes):
+        table[code] = ord("1")
+        bits = matrix.translate(table)
+        table[code] = ord("0")
+        rows = [int(bits[i:i + n], 2) for i in range(0, size, n)]
+        rows.reverse()
+        adj[a] = rows
 
 
 PairMap = Mapping[tuple[int, int], int]
@@ -175,13 +259,14 @@ def is_gallai(c: EdgeColoring) -> Union[bool, RainbowWitness]:
     a constant number of big-int operations per pair; only a hit folds
     the planes back to find its least w.
     """
-    if len(set(c.colors)) <= 2:
+    used = c._used
+    if len(used) <= 2:
         return True
     n = c.n
     adj = c.color_adjacency()
-    planes = c.k.bit_length()
+    planes = used[-1].bit_length()
     packed = [0] * n
-    for a in range(1, c.k + 1):
+    for a in used:
         for j in range(planes):
             if a >> j & 1:
                 shift = j * n
@@ -214,41 +299,40 @@ def is_gallai(c: EdgeColoring) -> Union[bool, RainbowWitness]:
 def random_gallai(n: int, k: int, seed: int) -> EdgeColoring:
     """Random rainbow-triangle-free coloring, deterministic per seed.
 
-    Generated top-down: split the vertices into 2..6 blocks, 2-color the
-    block pairs with two palette colors, then recurse into each block
-    with the full palette. Every coloring produced this way is Gallai.
+    Generated top-down: split the vertices into 2..6 blocks of
+    consecutive vertices, 2-color the block pairs with two palette
+    colors, then recurse into each block with the full palette. Every
+    coloring produced this way is Gallai.
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got n={n}")
     if k < 1:
         raise ValueError(f"need at least 1 color, got k={k}")
+    if k == 1:
+        return EdgeColoring(n, k, [1] * (n * (n - 1) // 2))
     rng = random.Random(seed)
     colors = [0] * (n * (n - 1) // 2)
 
-    def fill(verts: list[int]) -> None:
-        m = len(verts)
+    def fill(lo: int, hi: int) -> None:
+        m = hi - lo
         if m <= 1:
-            return
-        if k == 1:
-            for i in range(m):
-                for j in range(i + 1, m):
-                    colors[pair_index(n, verts[i], verts[j])] = 1
             return
         p = rng.randint(2, min(m, 6))
         cuts = sorted(rng.sample(range(1, m), p - 1))
-        bounds = [0] + cuts + [m]
-        blocks = [verts[bounds[i]:bounds[i + 1]] for i in range(p)]
+        bounds = [lo] + [lo + cut for cut in cuts] + [hi]
         ca, cb = rng.sample(range(1, k + 1), 2)
         for i in range(p):
             for j in range(i + 1, p):
-                col = rng.choice((ca, cb))
-                for x in blocks[i]:
-                    for y in blocks[j]:
-                        colors[pair_index(n, x, y)] = col
-        for block in blocks:
-            fill(block)
+                # the pairs from x to block j are consecutive in pair order
+                y = bounds[j]
+                row = [rng.choice((ca, cb))] * (bounds[j + 1] - y)
+                for x in range(bounds[i], bounds[i + 1]):
+                    start = pair_index(n, x, y)
+                    colors[start:start + len(row)] = row
+        for i in range(p):
+            fill(bounds[i], bounds[i + 1])
 
-    fill(list(range(n)))
+    fill(0, n)
     return EdgeColoring(n, k, colors)
 
 
@@ -292,11 +376,18 @@ def read_coloring(text: str) -> EdgeColoring:
     k = take_int(1, "palette size k", 1)
     expected = n * (n - 1) // 2
     body = tokens[2:2 + expected]
+    # one lookup parses and range-checks a palette color's canonical
+    # token; any other token ("01", "+2", a bad one) goes through int()
+    values = range(1, min(k, len(body)) + 1)
     try:
-        colors = list(map(int, body))
-        ok = not colors or (min(colors) >= 1 and max(colors) <= k)
-    except ValueError:
-        ok = False
+        colors = list(map(dict(zip(map(str, values), values)).__getitem__, body))
+        ok = True
+    except KeyError:
+        try:
+            colors = list(map(int, body))
+            ok = min(colors) >= 1 and max(colors) <= k
+        except ValueError:
+            ok = False
     if not ok:
         # report the first bad token, as a token-by-token read would
         for index, tok in enumerate(body, 2):
@@ -315,11 +406,12 @@ def read_coloring(text: str) -> EdgeColoring:
 
 def write_coloring(c: EdgeColoring) -> str:
     """Serialize to the canonical text layout: one row per first vertex."""
-    lines = [f"{c.n} {c.k}"]
+    n = c.n
+    names = {a: str(a) for a in c._used}
+    tokens = list(map(names.__getitem__, c.colors))
+    lines = [f"{n} {c.k}"]
     idx = 0
-    for u in range(c.n - 1):
-        row_len = c.n - 1 - u
-        row = c.colors[idx:idx + row_len]
-        idx += row_len
-        lines.append(" ".join(map(str, row)))
+    for u in range(n - 1):
+        lines.append(" ".join(tokens[idx:idx + n - 1 - u]))
+        idx += n - 1 - u
     return "\n".join(lines) + "\n"

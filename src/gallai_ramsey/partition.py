@@ -101,14 +101,17 @@ def _try_between_set(c: EdgeColoring, between: tuple[int, ...]) -> Optional[list
     Parts start as the components of the other colors. Each round links
     every pair of parts joined in both between colors and recomputes the
     components, until a round links nothing.
+
+    Every pair has one color, so the other colors join v to every other
+    vertex but its neighbors in the between colors: the start costs a
+    step per vertex and between color, however many colors there are.
     """
     n = c.n
     adj = c.color_adjacency()
-    h = [0] * n
-    for a in range(1, c.k + 1):
-        if a not in between:
-            for v, row in enumerate(adj[a]):
-                h[v] |= row
+    full = (1 << n) - 1
+    h = [full ^ 1 << v for v in range(n)]
+    for a in between:
+        h = [others ^ row for others, row in zip(h, adj[a])]
     while True:
         parts = _components(h, n)
         if len(parts) < 2:

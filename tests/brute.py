@@ -18,6 +18,17 @@ from gallai_ramsey import (
 from gallai_ramsey.targets import CYCLE, MATCHING, PATH, TargetGraph
 
 
+def brute_adjacency(c: EdgeColoring):
+    """adj[color][vertex] as color_adjacency gives it, from one color()
+    lookup per ordered pair."""
+    adj = [[0] * c.n for _ in range(c.k + 1)]
+    for u in range(c.n):
+        for v in range(c.n):
+            if u != v:
+                adj[c.color(u, v)][u] |= 1 << v
+    return adj
+
+
 def brute_rainbow(c: EdgeColoring):
     """True, or the lex-least triple u < v < w whose three edges carry
     three distinct colors."""

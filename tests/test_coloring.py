@@ -1,14 +1,18 @@
+import hashlib
 import random
+import time
 
 import pytest
 
-from brute import brute_rainbow
+from brute import brute_adjacency, brute_rainbow
 from gallai_ramsey import (
     ColorOutOfRangeError,
     EdgeColoring,
     MissingEdgeError,
     ParseError,
     RainbowWitness,
+    find_mono,
+    gallai_partition,
     is_gallai,
     new_coloring,
     pair_index,
@@ -16,6 +20,11 @@ from gallai_ramsey import (
     read_coloring,
     write_coloring,
 )
+from gallai_ramsey import coloring
+from gallai_ramsey.targets import path
+
+# the host sizes and palettes of the benchmark's host-check workload
+HOST_SIZES = [(20 + round(300 * i / 11), (3, 4, 6)[i % 3]) for i in range(12)]
 
 
 def mono(n, k=1, color=1):
@@ -150,6 +159,24 @@ def test_random_gallai_deterministic_per_seed():
     assert len(variants) > 1
 
 
+@pytest.mark.parametrize(
+    "n, k, seed, digest",
+    [
+        (320, 6, 1, "58090f3e8dabfa2112cb6147b661284cfd4d9cec334a8cb8bcaa2aae767ba429"),
+        (102, 3, 1741422554, "44d1fb1db9d97edadbd081d42017a56ea18cbf59f54f28d07fa2219a0488e3f7"),
+        (129, 4, 1954268780, "79d0dda9dfc6df4828200d14353f0c456860956f2ad977073bf0dcc4f82ebcf8"),
+        (59, 3, 3391062619, "682a2dd486f84ff6587d26b70ef3e039c0e77c94ee5bceccc5f10a9f9e9b14e1"),
+        (8, 1, 3, "8a81c695a060f7cc1a396634355b4b34397deb726c8679d040baf7430ba4840a"),
+        (2, 5, 0, "ae8b97402c013c555df3147097ef8921c747f1198d18f4e9475a24c73ea6b989"),
+    ],
+)
+def test_random_gallai_output_is_pinned(n, k, seed, digest):
+    # the hosts the benchmark and CI search are fixed by their seeds; a
+    # faster generator must draw the same random numbers in the same order
+    text = write_coloring(random_gallai(n, k, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_random_gallai_single_color_is_monochromatic():
     c = random_gallai(8, 1, 3)
     assert set(c.colors) == {1}
@@ -231,3 +258,140 @@ def test_edge_coloring_validation():
         EdgeColoring(3, 2, [1, 1, 5])
     with pytest.raises(ValueError):
         EdgeColoring(1, 2, [])
+
+
+def _random_coloring(n, k, rng, palette=None):
+    """A coloring of K_n drawing each edge from `palette` (default all
+    of [1, k])."""
+    palette = palette or range(1, k + 1)
+    return EdgeColoring(n, k, [rng.choice(palette) for _ in range(n * (n - 1) // 2)])
+
+
+def _builds(c):
+    """The rows of both builds, run directly on c."""
+    got = []
+    for build in (coloring._rows_from_pairs, coloring._rows_from_bytes):
+        adj = [[0] * c.n] * (c.k + 1)
+        build(c.n, c.colors, c.used_colors(), adj)
+        got.append(adj)
+    return got
+
+
+def test_color_adjacency_matches_pair_oracle():
+    rng = random.Random(23)
+    hosts = []
+    for n in range(2, 41):
+        k = rng.randint(1, 9)
+        # a palette drawn from part of [1, k] leaves colors unused
+        hosts.append(_random_coloring(n, k, rng, rng.sample(range(1, k + 1), rng.randint(1, k))))
+    for n in (100, 213, 320):
+        hosts.append(random_gallai(n, rng.randint(2, 7), rng.randrange(2 ** 32)))
+    # 205 used colors, up to 1000: byte codes are ranks, not colors
+    hosts.append(random_gallai(320, 1000, 1))
+    # colors above 255 on a host the byte build takes
+    hosts.append(_random_coloring(60, 1000, rng, (300, 999)))
+    for c in hosts:
+        want = brute_adjacency(c)
+        assert c.color_adjacency() == want, (c.n, c.k)
+        for got in _builds(c):
+            assert got == want, (c.n, c.k)
+    # more than 255 used colors: beyond the byte codes, so only the loop
+    # over pairs can take it
+    c = EdgeColoring(30, 1000, rng.sample(range(1, 1001), 435))
+    assert len(c.used_colors()) == 435
+    assert c.color_adjacency() == brute_adjacency(c)
+
+
+@pytest.mark.parametrize(
+    "n, used, build",
+    [
+        (23, 2, "pairs"),
+        (24, 2, "bytes"),
+        (35, 3, "pairs"),
+        (36, 3, "bytes"),
+        (288, 24, "bytes"),
+        (300, 25, "pairs"),
+    ],
+)
+def test_color_adjacency_build_choice(monkeypatch, n, used, build):
+    # the byte build needs at least BYTE_BUILD_RATIO vertices per used
+    # color and at most BYTE_BUILD_MAX_COLORS of them
+    ran = []
+    for name in ("_rows_from_pairs", "_rows_from_bytes"):
+        real = getattr(coloring, name)
+
+        def spy(*args, real=real, name=name):
+            ran.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(coloring, name, spy)
+    rng = random.Random(n)
+    colors = list(range(1, used + 1))
+    colors += [rng.randint(1, used) for _ in range(n * (n - 1) // 2 - used)]
+    rng.shuffle(colors)
+    c = EdgeColoring(n, used + 2, colors)
+    assert c.color_adjacency() == brute_adjacency(c)
+    assert ran == [f"_rows_from_{build}"]
+
+
+def test_color_adjacency_unused_colors_share_one_zero_row():
+    c = EdgeColoring(3, 10**6, [2, 5, 2])
+    adj = c.color_adjacency()
+    assert len(adj) == 10**6 + 1
+    assert adj[0] is adj[1] is adj[10**6] and adj[0] == [0, 0, 0]
+    assert adj[2] == [0b010, 0b101, 0b010] and adj[5] == [0b100, 0, 0b001]
+
+
+def test_cost_follows_used_colors_not_palette():
+    # a rainbow K_3 declaring a million colors: the rainbow test, the
+    # partition search and the class search loop over the 3 used colors
+    c = read_coloring("3 1000000\n1 2 3")
+    for check, want in [
+        (lambda: is_gallai(c), RainbowWitness((0, 1, 2))),
+        (lambda: gallai_partition(c), None),
+        (lambda: find_mono(c, 3, path(2)).vertices, (1, 2)),
+    ]:
+        start = time.perf_counter()
+        assert check() == want
+        assert time.perf_counter() - start < 1.0
+
+
+def _write_per_row(c):
+    """write_coloring as one str() per color, the reference layout."""
+    lines = [f"{c.n} {c.k}"]
+    idx = 0
+    for u in range(c.n - 1):
+        lines.append(" ".join(map(str, c.colors[idx:idx + c.n - 1 - u])))
+        idx += c.n - 1 - u
+    return "\n".join(lines) + "\n"
+
+
+def test_write_coloring_matches_per_row_reference():
+    rng = random.Random(31)
+    hosts = [random_gallai(n, k, rng.randrange(2 ** 32)) for n, k in HOST_SIZES]
+    hosts += [random_gallai(40, 1000, 3), EdgeColoring(2, 7, [7])]
+    for c in hosts:
+        text = write_coloring(c)
+        assert text == _write_per_row(c)
+        assert read_coloring(text) == c
+
+
+def test_read_coloring_noncanonical_tokens():
+    # tokens that are not a palette color's canonical spelling go
+    # through int(), as do colors above the number of edges
+    assert read_coloring("3 2\n01\t+2\t1\n") == EdgeColoring(3, 2, [1, 2, 1])
+    assert read_coloring("3 2\n1 1 002") == EdgeColoring(3, 2, [1, 1, 2])
+    assert read_coloring("3 10\n7 1 2") == EdgeColoring(3, 10, [7, 1, 2])
+    with pytest.raises(ParseError) as err:
+        read_coloring("3 2\n1 +3 1")
+    assert str(err.value) == "line 2, column 3: color 3 outside palette [1, 2]"
+
+
+def test_text_format_wide_palette_is_fast():
+    # the token tables are sized by the colors, not by k
+    text = "3 1000000000\n1 2 1000000000\n"
+    start = time.perf_counter()
+    c = read_coloring(text)
+    assert c.colors == (1, 2, 10**9)
+    assert write_coloring(c) == "3 1000000000\n1 2\n1000000000\n"
+    assert time.perf_counter() - start < 1.0
