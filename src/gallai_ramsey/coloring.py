@@ -25,7 +25,7 @@ The per-edge work of the core runs at C speed where it can:
 - random_gallai writes each block pair with one slice assignment per
   vertex of the first block, since every block is a vertex range.
 Everything sized by the palette follows the colors used, not k: the
-slots of unused colors share one row of zeros.
+class adjacency holds rows for the used colors only.
 """
 
 from __future__ import annotations
@@ -122,13 +122,11 @@ class EdgeColoring:
     def used_colors(self) -> list[int]:
         return list(self._used)
 
-    def color_adjacency(self) -> list[list[int]]:
-        """Per-color neighbor bitmasks, indexed adj[color][vertex].
-
-        Slot 0 and the slots of unused colors share one row of zeros, so
-        the build costs nothing per unused color. Built once and cached;
-        cheap to share since the coloring never changes after
-        construction. Callers must not mutate the rows.
+    def color_adjacency(self) -> dict[int, list[int]]:
+        """Per-color neighbor bitmasks, adj[color][vertex], keyed by the
+        used colors only, so the build costs nothing per unused color.
+        Built once and cached; cheap to share since the coloring never
+        changes after construction. Callers must not mutate the rows.
 
         A host with at least BYTE_BUILD_RATIO vertices per used color
         and at most BYTE_BUILD_MAX_COLORS used colors gets its rows from
@@ -138,12 +136,10 @@ class EdgeColoring:
         if self._adj is None:
             n = self.n
             used = self._used
-            adj = [[0] * n] * (self.k + 1)
             if len(used) <= min(n // BYTE_BUILD_RATIO, BYTE_BUILD_MAX_COLORS):
-                _rows_from_bytes(n, self.colors, used, adj)
+                self._adj = _rows_from_bytes(n, self.colors, used)
             else:
-                _rows_from_pairs(n, self.colors, used, adj)
-            self._adj = adj
+                self._adj = _rows_from_pairs(n, self.colors, used)
         return self._adj
 
     def __eq__(self, other: object) -> bool:
@@ -170,21 +166,21 @@ BYTE_BUILD_RATIO = 12
 BYTE_BUILD_MAX_COLORS = 24
 
 
-def _rows_from_pairs(n: int, colors: Sequence[int], used: Sequence[int], adj: list) -> None:
-    """Give each used color of `adj` its rows, one pair at a time."""
-    for a in used:
-        adj[a] = [0] * n
+def _rows_from_pairs(n: int, colors: Sequence[int], used: Sequence[int]) -> dict[int, list[int]]:
+    """The rows of each used color, one pair at a time."""
+    adj = {a: [0] * n for a in used}
     idx = 0
     for u in range(n - 1):
         for v in range(u + 1, n):
-            c = colors[idx]
+            row = adj[colors[idx]]
             idx += 1
-            adj[c][u] |= 1 << v
-            adj[c][v] |= 1 << u
+            row[u] |= 1 << v
+            row[v] |= 1 << u
+    return adj
 
 
-def _rows_from_bytes(n: int, colors: Sequence[int], used: Sequence[int], adj: list) -> None:
-    """Give each used color of `adj` its rows, from one byte matrix.
+def _rows_from_bytes(n: int, colors: Sequence[int], used: Sequence[int]) -> dict[int, list[int]]:
+    """The rows of each used color, from one byte matrix.
 
     The i-th of the used colors (at most 255) has byte code i. Cell
     (u, v) of an n x n bytearray holds the code of c(u, v) and the
@@ -207,6 +203,7 @@ def _rows_from_bytes(n: int, colors: Sequence[int], used: Sequence[int], adj: li
         matrix[u * n + n + u::n] = seg
     matrix.reverse()
     table = bytearray(b"0" * 256)
+    adj = {}
     for a, code in zip(used, codes):
         table[code] = ord("1")
         bits = matrix.translate(table)
@@ -214,6 +211,7 @@ def _rows_from_bytes(n: int, colors: Sequence[int], used: Sequence[int], adj: li
         rows = [int(bits[i:i + n], 2) for i in range(0, size, n)]
         rows.reverse()
         adj[a] = rows
+    return adj
 
 
 PairMap = Mapping[tuple[int, int], int]
@@ -381,15 +379,9 @@ def read_coloring(text: str) -> EdgeColoring:
     values = range(1, min(k, len(body)) + 1)
     try:
         colors = list(map(dict(zip(map(str, values), values)).__getitem__, body))
-        ok = True
     except KeyError:
-        try:
-            colors = list(map(int, body))
-            ok = min(colors) >= 1 and max(colors) <= k
-        except ValueError:
-            ok = False
-    if not ok:
-        # report the first bad token, as a token-by-token read would
+        # a token-by-token read, which reports the first bad token
+        colors = []
         for index, tok in enumerate(body, 2):
             try:
                 value = int(tok)
@@ -397,6 +389,7 @@ def read_coloring(text: str) -> EdgeColoring:
                 raise error(f"expected integer edge color, got {tok!r}", index)
             if not 1 <= value <= k:
                 raise error(f"color {value} outside palette [1, {k}]", index)
+            colors.append(value)
     if len(body) < expected:
         raise error(f"expected {expected} edge colors, found {len(body)}", len(tokens))
     if len(tokens) > 2 + expected:

@@ -6,8 +6,10 @@ the lexicographically least embedding, so certificates are
 reproducible. Paths and cycles share one kernel, `_reach_end`: can a
 simple path ending at a given vertex take so many more vertices, the
 last one in a mask of allowed ends? `find_mono` has it record its first
-hit. The verifier's through-edge checks ask whether there is a copy
-through a given edge: directly for cycles, and for paths through
+hit. A path search is one call from a virtual vertex joined to every
+vertex with a class neighbor, so its starts are the kernel's own
+candidates. The verifier's through-edge checks ask whether there is a
+copy through a given edge: directly for cycles, and for paths through
 `_two_arms`, which grows two arms from the ends of the edge. They
 share one signature, (adj, u, v, size, out), and always record the copy
 they found in the list `out`, in the format of `TargetGraph.copy_edges`:
@@ -52,6 +54,8 @@ disjoint edges for the rest.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence
 
 from .coloring import ColorOutOfRangeError, EdgeColoring
@@ -177,22 +181,16 @@ def _two_arms(adj: list[int], last: int, mask: int, need: int, hop: int, out: li
 
 
 def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
-    active = [v for v in range(n) if adj[v]]
-    if len(active) < m:
+    active = reduce(or_, adj, 0)  # the vertices with a class neighbor
+    if active.bit_count() < m:
         return None
-    if sum(adj[v].bit_count() for v in active) // 2 < m - 1:
+    if sum(map(int.bit_count, adj)) // 2 < m - 1:
         return None
-    # one memo serves every start: the visited mask already holds the start
-    failed: set[tuple[int, int]] = set()
-    tried_starts: list[tuple[int, int]] = []
+    # the starts are the candidates of a virtual vertex n joined to every
+    # active vertex; one memo serves them all, as the mask holds the start
     out: list[int] = []
-    for s in active:
-        sbit = 1 << s
-        if _twin_skip(adj[s], sbit, tried_starts):
-            continue
-        if _reach_end(adj, s, sbit, m - 1, -1, failed, out):
-            return [s, *reversed(out)]
-        tried_starts.append((adj[s], sbit))
+    if _reach_end([*adj, active], n, 0, m, -1, set(), out):
+        return out[::-1]
     return None
 
 
@@ -368,7 +366,8 @@ def find_mono(c: EdgeColoring, color: int, target: TargetGraph) -> Optional[Embe
     """
     if not 1 <= color <= c.k:
         raise ColorOutOfRangeError(f"color {color} outside palette [1, {c.k}]")
-    if target.num_vertices > c.n:
+    # every target has an edge, so an unused color's empty class holds none
+    if target.num_vertices > c.n or color not in c._used:
         return None
     adj = c.color_adjacency()[color]
     if target.kind == PATH:

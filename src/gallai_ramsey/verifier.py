@@ -25,9 +25,7 @@ pair order, colors ascending) and prunes:
   them answers does it run the search module's kernel for the target's
   kind and enter its answer. The kernels share one signature and always
   record the copy they find, whose edge mask `TargetGraph.copy_edges`
-  reads off. Each cache keeps its last CACHE_SIZE masks as the fields
-  of one int, and one test on that int asks all of them at once, so the
-  lookup does not slow down as the cache grows,
+  reads off,
 * color-symmetric branches: among colors with identical targets, color
   j+1 may first appear only after color j,
 * vertex-symmetric branches: the colors on edges (0,1) and (0,2) must
@@ -35,8 +33,8 @@ pair order, colors ascending) and prunes:
 
 Every leaf reached is therefore a bad coloring and is returned as a
 witness; an empty tree means every Gallai coloring is forced. The two
-symmetry rules never change the verdict, only the statistics, and can
-be switched off for testing.
+symmetry rules never change the verdict, only the statistics. They can
+be switched off for testing: their data then never lets them fire.
 
 One loop, `_Search.leaves`, walks the tree below a prefix and yields
 each node at a given depth with the counters reached there. The budget
@@ -112,7 +110,6 @@ class _Search:
         self.k = len(targets)
         self.edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         self.m = len(self.edges)
-        self.symmetry = symmetry
         self.adj = [[0] * n for _ in range(self.k + 1)]
         # the rows of colors 1..k; row 0 stays empty
         self.color_rows = self.adj[1:]
@@ -120,11 +117,13 @@ class _Search:
         self.assignment = [0] * self.m
         # per color: its class as a bitmask over edge indices
         self.cls = [0] * (self.k + 1)
-        # predecessor inside each group of identical targets
+        # predecessor inside each group of identical targets; all zeros
+        # without symmetry, so the color rule never fires
         prev: list[int] = [0] * (self.k + 1)
         last_seen: dict[TargetGraph, int] = {}
         for col, t in enumerate(targets, 1):
-            prev[col] = last_seen.get(t, 0)
+            if symmetry:
+                prev[col] = last_seen.get(t, 0)
             last_seen[t] = col
         self.prev_same_target = prev
         # per depth: the rainbow mask of its edge, kept while the search
@@ -132,10 +131,8 @@ class _Search:
         self.rainbows = [0] * self.m
         # per vertex pair: its edge's bit in a class mask
         self.bits = [[0] * n for _ in range(n)]
-        # per edge index: u, v, their bits, the edge bit, and the ones
-        # (the lowest bit of each field), low and guard of the packed
-        # caches (see leaves). At edge idx a field is idx + 3 bits wide;
-        # an empty copy field holds its empty bit alone
+        # per edge index: u, v, their bits, the edge bit, and the ones,
+        # low and guard of the packed caches (see leaves)
         self.edge_consts = []
         empty_copies = []
         for idx, (u, v) in enumerate(self.edges):
@@ -158,9 +155,7 @@ class _Search:
             MATCHING: exists_matching_with_edge,
         }
         # per color: what its through-edge check needs, or None if the
-        # target exceeds K_n; colors with equal targets share one check.
-        # `leaves` asks the memo, then the copy cache, then the no-copy
-        # cache, and runs the kernel only when none of them answers
+        # target exceeds K_n; colors with equal targets share one check
         checks = {}
         for t in targets:
             if t.num_vertices > n or t in checks:
@@ -171,8 +166,9 @@ class _Search:
             memo = self.memos.setdefault(t, {}) if self.k >= 3 else None
             checks[t] = (kernels[t.kind], t.size, t.copy_edges, copies, misses, memo)
         self.checks = [None] + [checks.get(t) for t in targets]
-        # the vertex rule compares edges (0,1) and (0,2) of the lex order
-        self.vertex_rule_idx = 1 if n >= 3 else -1
+        # the vertex rule compares edges (0,1) and (0,2) of the lex order;
+        # at -1, without symmetry, it never fires
+        self.vertex_rule_idx = 1 if symmetry and n >= 3 else -1
 
     def leaves(
         self, prefix: Sequence[int], budget: int, leaf: int
@@ -193,25 +189,23 @@ class _Search:
         budget, where nodes then exceeds it, and when the caller closes
         the generator at a leaf, where they equal the leaf's.
 
-        A color's through-edge check asks its memo, then the packed copy
-        cache, then the no-copy cache, and runs the kernel only when none
-        of them answers. The key is the class mask with the new edge's
-        bit added, its highest bit. The copy cache holds the edge masks
-        of the copies found through that edge, read off by
+        The key of a through-edge check is the class mask with the new
+        edge's bit added, its highest bit. The packed copy cache holds the
+        edge masks of the copies found through that edge, read off by
         `copy_edges`, and the no-copy cache the keys at which there was
         none. At edge idx each cache is one int of CACHE_SIZE fields,
-        idx + 3 bits wide: the idx + 1 edge bits, an empty bit that no
-        key holds, and a guard bit. With `rep` the key copied into every
-        field, a field of copies & ~rep is 0 exactly when its copy lies
-        inside the key, and a field of rep & ~misses exactly when the key
-        lies inside its miss; both are computed as (a | b) ^ b, which
-        spares Python the negative int ~b. Adding `low`, all ones below
-        each guard bit, carries into the guard bit of every nonzero field
-        and of no other, so one test answers for all fields. An empty
-        copy field holds only its empty bit and an empty miss field is
-        0, while a key always holds its edge bit: neither ever answers.
-        A new entry shifts in at the bottom and the oldest drops out at
-        the top."""
+        idx + 3 bits wide: the idx + 1 edge bits, an empty bit that no key
+        holds, and a guard bit. With `rep` the key copied into every field
+        (the key times `ones`, the lowest bit of each), a field of
+        copies & ~rep is 0 exactly when its copy lies inside the key, and
+        a field of rep & ~misses exactly when the key lies inside its
+        miss; both are computed as (a | b) ^ b, which spares Python the
+        negative int ~b. Adding `low`, all ones below each guard bit,
+        carries into the guard bit of every nonzero field and of no other,
+        so one test answers for all fields. An empty copy field holds only
+        its empty bit and an empty miss field is 0, while a key always
+        holds its edge bit: neither ever answers. A new entry shifts in at
+        the bottom and the oldest drops out at the top."""
         k = self.k
         edge_consts = self.edge_consts
         adj = self.adj
@@ -223,7 +217,6 @@ class _Search:
         checks = self.checks
         bits = self.bits
         prev = self.prev_same_target
-        symmetry = self.symmetry
         vertex_rule_idx = self.vertex_rule_idx
         # `color_rows` holds the rows of `adj`, so they are cleared in place
         for row in adj:
@@ -279,15 +272,14 @@ class _Search:
                     nodes += 1
                     if nodes > budget:
                         return
-                    if symmetry:
-                        if not cls[col]:
-                            p = prev[col]
-                            if p and not cls[p]:
-                                prunes_symmetry += 1
-                                continue
-                        if idx == vertex_rule_idx and col < assignment[0]:
+                    if not cls[col]:
+                        p = prev[col]
+                        if p and not cls[p]:
                             prunes_symmetry += 1
                             continue
+                    if idx == vertex_rule_idx and col < assignment[0]:
+                        prunes_symmetry += 1
+                        continue
                     row = adj[col]
                     if rainbow and rainbow & ~(row[u] | row[v]):
                         prunes_rainbow += 1

@@ -19,13 +19,13 @@ from gallai_ramsey.targets import CYCLE, MATCHING, PATH, TargetGraph
 
 
 def brute_adjacency(c: EdgeColoring):
-    """adj[color][vertex] as color_adjacency gives it, from one color()
-    lookup per ordered pair."""
-    adj = [[0] * c.n for _ in range(c.k + 1)]
+    """adj[color][vertex] for the used colors, as color_adjacency gives
+    it, from one color() lookup per ordered pair."""
+    adj = {}
     for u in range(c.n):
         for v in range(c.n):
             if u != v:
-                adj[c.color(u, v)][u] |= 1 << v
+                adj.setdefault(c.color(u, v), [0] * c.n)[u] |= 1 << v
     return adj
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -227,6 +228,10 @@ def test_read_coloring_error_positions():
         ("3 two\n1 1 1", "expected integer for palette size k, got 'two'", 1, 3),
         ("3 2\n9 x 1", "color 9 outside palette [1, 2]", 2, 1),
         ("3 2\n1\t1\n\n  x2 1", "expected integer edge color, got 'x2'", 4, 3),
+        # a non-canonical token misses the token table; the read goes on
+        # to the first bad token after it
+        ("3 2\n01 1 x", "expected integer edge color, got 'x'", 2, 6),
+        ("3 2\n+1 7 1", "color 7 outside palette [1, 2]", 2, 4),
     ],
 )
 def test_read_coloring_error_messages_across_lines(text, message, line, column):
@@ -269,12 +274,10 @@ def _random_coloring(n, k, rng, palette=None):
 
 def _builds(c):
     """The rows of both builds, run directly on c."""
-    got = []
-    for build in (coloring._rows_from_pairs, coloring._rows_from_bytes):
-        adj = [[0] * c.n] * (c.k + 1)
-        build(c.n, c.colors, c.used_colors(), adj)
-        got.append(adj)
-    return got
+    return [
+        build(c.n, c.colors, c.used_colors())
+        for build in (coloring._rows_from_pairs, coloring._rows_from_bytes)
+    ]
 
 
 def test_color_adjacency_matches_pair_oracle():
@@ -334,12 +337,9 @@ def test_color_adjacency_build_choice(monkeypatch, n, used, build):
     assert ran == [f"_rows_from_{build}"]
 
 
-def test_color_adjacency_unused_colors_share_one_zero_row():
+def test_color_adjacency_holds_used_colors_only():
     c = EdgeColoring(3, 10**6, [2, 5, 2])
-    adj = c.color_adjacency()
-    assert len(adj) == 10**6 + 1
-    assert adj[0] is adj[1] is adj[10**6] and adj[0] == [0, 0, 0]
-    assert adj[2] == [0b010, 0b101, 0b010] and adj[5] == [0b100, 0, 0b001]
+    assert c.color_adjacency() == {2: [0b010, 0b101, 0b010], 5: [0b100, 0, 0b001]}
 
 
 def test_cost_follows_used_colors_not_palette():
@@ -354,6 +354,23 @@ def test_cost_follows_used_colors_not_palette():
         start = time.perf_counter()
         assert check() == want
         assert time.perf_counter() - start < 1.0
+
+
+def test_memory_follows_used_colors_not_palette():
+    # one used color of a million declared: rows for the declared colors
+    # would take 8 MB, and at k = 10**9 about 8 GB
+    for check in [
+        lambda c: gallai_partition(c).parts == ((0,), (1,), (2,)),
+        lambda c: find_mono(c, 10**6, path(2)) is None,
+    ]:
+        c = read_coloring("3 1000000\n1 1 1")
+        tracemalloc.start()
+        try:
+            assert check(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 def _write_per_row(c):

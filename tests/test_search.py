@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -156,6 +157,26 @@ def test_c8_on_hosts_full_of_dead_ends(host, want):
     assert verify_embedding(c, got)
 
 
+
+GRID_TARGETS = [path(m) for m in range(2, 13)] + [even_cycle(l) for l in (4, 6, 8, 10)]
+
+
+def test_embeddings_are_pinned_on_a_host_grid():
+    # 300 random Gallai hosts on up to 40 vertices, too large for the
+    # brute-force oracle: every color's lex-least P2-P12 and C4-C10, or
+    # None, as one digest (13,155 searches, 8,240 hits)
+    rng = random.Random(23)
+    lines = []
+    for trial in range(300):
+        host = (rng.randint(2, 40), rng.randint(1, 5), rng.randrange(2**32))
+        c = random_gallai(*host)
+        for color in range(1, c.k + 1):
+            for t in GRID_TARGETS:
+                emb = find_mono(c, color, t)
+                lines.append(f"{host} {color} {t.name} {None if emb is None else emb.vertices}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9fa98a3e9a6daee881db1c0e4db2692e0fcd890cf217b9eab87727441f36ab43"
+
 def two_blobs(size, seed, p=0.4):
     """2-coloring of K_{2 size}: color 1 holds two random graphs on
     `size` vertices each, edge probability p, and nothing between them."""
@@ -282,7 +303,7 @@ def test_through_edge_checks_match_oracle():
 
     for trial in range(6):
         c = random_gallai(rng.randint(7, 9), rng.randint(2, 3), rng.randrange(2**32))
-        classes += [(twin_targets(c.n), adj) for adj in c.color_adjacency()[1:]]
+        classes += [(twin_targets(c.n), adj) for adj in c.color_adjacency().values()]
     for base_n, copies in [(3, 3), (4, 2)] * 4:
         adj = blow_up(rng, base_n, copies)
         classes.append((twin_targets(len(adj)), adj))
