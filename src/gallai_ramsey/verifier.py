@@ -361,28 +361,30 @@ def _solve(
     return None, search.stats
 
 
-# the search of a pool worker, built once by the pool's initializer, and
-# whether the worker has stopped at a witness or at a task's budget
+# the search of a pool worker and the call's shared first-stop index
+# (see _solve_subtask), both set by the pool's initializer
 _worker_search: Optional[_Search] = None
-_worker_stopped = False
+_first_stop = None
 
 
-def _start_worker(n: int, targets: Sequence[TargetGraph], symmetry: bool) -> None:
-    global _worker_search, _worker_stopped
+def _start_worker(n: int, targets: Sequence[TargetGraph], symmetry: bool, first_stop) -> None:
+    global _worker_search, _first_stop
     _worker_search = _Search(n, targets, symmetry)
-    _worker_stopped = False
+    _first_stop = first_stop
 
 
-def _solve_subtask(task: tuple[Sequence[int], int]) -> tuple[Optional[list[int]], SearchStats]:
-    """_solve on the worker's search. A worker receives its prefixes in
-    increasing order, and the fold breaks at or before the prefix where
-    the worker stopped, so once stopped it answers every later task at
-    once, with no nodes."""
-    global _worker_stopped
-    if _worker_stopped:
+def _solve_subtask(task: tuple) -> tuple[Optional[list[int]], SearchStats]:
+    """_solve on the worker's search for `(index, prefix, budget)`. The
+    fold breaks at or before every subtask that stops at a witness or
+    past its budget, so a worker that stops lowers the shared index to
+    its subtask, and a task past the index comes back at once, empty."""
+    index, prefix, budget = task
+    if index > _first_stop.value:
         return None, SearchStats()
-    colors, stats = _solve(_worker_search, *task)
-    _worker_stopped = colors is not None or stats.nodes > task[1]
+    colors, stats = _solve(_worker_search, prefix, budget)
+    if colors is not None or stats.nodes > budget:
+        with _first_stop.get_lock():
+            _first_stop.value = min(_first_stop.value, index)
     return colors, stats
 
 
@@ -402,28 +404,33 @@ def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[i
     that neighbouring prefixes, which share memo keys, meet the same
     memo. Subtask j may use the nodes left when the sequential order
     reaches prefix j; the fold stops at a witness or once the sequential
-    count exceeds the budget, and a worker skips the rest of its tasks
-    after such a stop of its own. Leaving the pool's block terminates
-    and joins the workers, so none outlives the call."""
+    count exceeds the budget. Later subtasks are then answered at once
+    through the shared first-stop index (_solve_subtask). The pool is
+    closed and joined, never terminated: a worker killed mid-write can
+    keep the result queue's lock and hang the pool's teardown for good."""
     top = _Search(n, targets, symmetry)
     # a budget stop up here still hands out the prefixes reached
     prefixes = list(top.leaves((), budget, SPLIT_DEPTH))
     if not prefixes:
         return None, top.stats
     stats = SearchStats()
-    tasks = ((prefix, budget - before.nodes) for prefix, before in prefixes)
+    tasks = ((j, prefix, budget - before.nodes) for j, (prefix, before) in enumerate(prefixes))
     workers = min(threads, len(prefixes))
     chunk = -(-len(prefixes) // (4 * workers))
-    init = (n, targets, symmetry)
+    first_stop = multiprocessing.Value("q", len(prefixes))
+    init = (n, targets, symmetry, first_stop)
     with multiprocessing.Pool(workers, initializer=_start_worker, initargs=init) as pool:
         results = pool.imap(_solve_subtask, tasks, chunksize=chunk)
-        for (_, before), (colors, sub) in zip(prefixes, results):
+        for j, ((_, before), (colors, sub)) in enumerate(zip(prefixes, results)):
             _add(stats, sub)
             if colors is not None or before.nodes + stats.nodes > budget:
                 _add(stats, before)
+                first_stop.value = j
                 break
         else:
             _add(stats, top.stats)
+        pool.close()
+        pool.join()
     return colors, stats
 
 
@@ -444,6 +451,7 @@ def decide_upper(
     With threads > 1 the tree is split into subtrees run by at most that
     many worker processes; the verdict and witness are those of the
     sequential run, and so are the counters unless the budget runs out.
+    After a stop each other worker ends its work at its next subtask.
     """
     targets = _as_targets(spec_or_targets)
     if n < 2:

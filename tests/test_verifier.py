@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 import subprocess
 import sys
@@ -386,25 +387,41 @@ def test_reused_search_matches_fresh_one():
 
 
 def test_stopped_worker_skips_later_subtasks(monkeypatch):
-    # a pool worker receives its prefixes in increasing order and the
-    # fold breaks at or before the prefix where the worker stopped, so
-    # after a witness or a budget stop every later subtask of that worker
-    # comes back at once with no nodes; a subtask that runs to its end
-    # does not stop the worker. Subtasks of C4,C4,C4,C4@7: (1,1,1,1,1,2)
-    # has a witness at 27,493 nodes, (1,1,1,1,2,2) none in 4,588 and
-    # (1,1,1,1,2,3) none in 14,728.
+    # the fold breaks at or before the first subtask where a worker
+    # stopped, so after a witness or a budget stop every later subtask
+    # comes back at once with no nodes, in this worker and, through the
+    # shared first-stop index, in every other; a subtask that runs to its
+    # end leaves the index as it is. Subtasks of C4,C4,C4,C4@7:
+    # (1,1,1,1,1,2) has a witness at 27,493 nodes, (1,1,1,1,2,2) none in
+    # 4,588 and (1,1,1,1,2,3) none in 14,728.
     monkeypatch.setattr(verifier, "_worker_search", None)
-    monkeypatch.setattr(verifier, "_worker_stopped", False)
+    monkeypatch.setattr(verifier, "_first_stop", None)
     targets = parse_target_list("C4,C4,C4,C4")
-    _start_worker(7, targets, True)
-    for prefix, nodes in [((1, 1, 1, 1, 2, 2), 4_588), ((1, 1, 1, 1, 2, 3), 14_728)]:
-        assert _solve_subtask((prefix, DEFAULT_BUDGET))[1].nodes == nodes
-    for budget, witness, nodes in [(DEFAULT_BUDGET, True, 27_493), (1_000, False, 1_001)]:
-        _start_worker(7, targets, True)
-        colors, stats = _solve_subtask(((1, 1, 1, 1, 1, 2), budget))
-        assert (colors is not None, stats.nodes) == (witness, nodes)
-        colors, stats = _solve_subtask(((1, 1, 1, 1, 2, 3), DEFAULT_BUDGET))
+    witness, empty, full = (1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 2, 3)
+    first_stop = multiprocessing.Value("q", 100)
+    _start_worker(7, targets, True, first_stop)
+    for index, prefix, nodes in [(0, empty, 4_588), (1, full, 14_728)]:
+        assert _solve_subtask((index, prefix, DEFAULT_BUDGET))[1].nodes == nodes
+    assert first_stop.value == 100
+    for budget, found, nodes in [(DEFAULT_BUDGET, True, 27_493), (1_000, False, 1_001)]:
+        first_stop = multiprocessing.Value("q", 100)
+        _start_worker(7, targets, True, first_stop)
+        colors, stats = _solve_subtask((3, witness, budget))
+        assert (colors is not None, stats.nodes, first_stop.value) == (found, nodes, 3)
+        colors, stats = _solve_subtask((4, full, DEFAULT_BUDGET))
         assert colors is None and counts(stats) == (0, 0, 0, 0)
+    # an index lowered by another worker: this worker skips the later
+    # subtasks but still runs the earlier ones, and a stop of its own
+    # lowers the index further
+    first_stop = multiprocessing.Value("q", 100)
+    _start_worker(7, targets, True, first_stop)
+    first_stop.value = 5
+    colors, stats = _solve_subtask((6, empty, DEFAULT_BUDGET))
+    assert colors is None and counts(stats) == (0, 0, 0, 0)
+    assert _solve_subtask((4, full, DEFAULT_BUDGET))[1].nodes == 14_728
+    assert first_stop.value == 5
+    assert _solve_subtask((2, witness, DEFAULT_BUDGET))[0] is not None
+    assert first_stop.value == 2
 
 
 def test_budget_exhaustion_is_a_verdict():
@@ -494,6 +511,51 @@ def test_early_return_stops_workers(n, budget, kind):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [kind, "0"]
+    assert proc.stderr == ""
+
+
+def test_split_run_never_terminates_a_worker(monkeypatch):
+    # a worker killed while it writes a result can keep the result
+    # queue's lock, and the pool's teardown then blocks for good; the
+    # split run closes and joins its pool instead, after a witness stop
+    # (C4,C4,C4,C4@7), a budget stop (P7,P7@9) and a full run (C6,P6@8)
+    calls = []
+    terminate = multiprocessing.process.BaseProcess.terminate
+
+    def spy(process):
+        calls.append(process.pid)
+        terminate(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", spy)
+    assert kinds(7, "C4,C4,C4,C4", threads=2) == BAD_COLORING
+    assert kinds(9, "P7,P7", budget=100_000, threads=2) == BUDGET
+    assert kinds(8, "C6,P6", threads=2) == ALL_FORCED
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_split_run_under_start_method(method):
+    # the first-stop index reaches the workers through the pool's
+    # initializer, so the early stops work under a start method other
+    # than fork, where a module global set before the pool starts would
+    # never reach them
+    code = (
+        "import multiprocessing\n"
+        "from gallai_ramsey import decide_upper\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "seq, _ = decide_upper(7, 'C4,C4,C4,C4')\n"
+        "par, _ = decide_upper(7, 'C4,C4,C4,C4', threads=2)\n"
+        "stop, _ = decide_upper(9, 'P7,P7', 100_000, threads=2)\n"
+        "print(par.kind, par.witness == seq.witness, stop.kind)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::ResourceWarning", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [BAD_COLORING, "True", BUDGET]
     assert proc.stderr == ""
 
 
