@@ -1,11 +1,10 @@
 """Layered extremal colorings witnessing the lower bounds.
 
 The coloring lives on one fewer vertex than the predicted Gallai-Ramsey
-value: a first block of (order of the largest target) - 1 vertices and
-one block of i_j vertices per further color j. Edges inside block j get
-color j; edges from block j to every earlier block also get color j.
-Blocks of size zero contribute nothing but keep their color index, so
-certificates always reference the caller's palette.
+value: a block of (order of the head color's target) - 1 vertices, then
+one block of i_j vertices per other color j, in color order. Each edge
+takes the color of its later end's block. Blocks of size zero add no
+vertex but keep their color, so certificates use the caller's palette.
 """
 
 from __future__ import annotations
@@ -16,17 +15,22 @@ from .formulas import TargetSpec, predicted_gr
 
 def layer_sizes(spec: TargetSpec) -> list[int]:
     """Block sizes per color, color 1 first."""
-    return [spec.largest_order() - 1] + [spec.indices[j] for j in range(1, spec.k)]
+    sizes = list(spec.indices)
+    sizes[spec.head_color() - 1] = spec.largest_order() - 1
+    return sizes
 
 
 def layers(spec: TargetSpec) -> list[range]:
-    """Vertex ranges per color block (empty ranges for zero indices)."""
+    """Vertex ranges per color, color 1 first (empty ranges for zero
+    indices); the head color's range starts at vertex 0."""
     sizes = layer_sizes(spec)
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(range(start, start + s))
-        start += s
+    head = spec.head_color()
+    out = [range(sizes[head - 1])] * spec.k
+    start = sizes[head - 1]
+    for j, size in enumerate(sizes, 1):
+        if j != head:
+            out[j - 1] = range(start, start + size)
+            start += size
     return out
 
 
@@ -36,8 +40,12 @@ def build_lower_bound_coloring(spec: TargetSpec) -> EdgeColoring:
     It is rainbow-triangle-free and has exactly predicted_gr(spec) - 1
     vertices; both properties are what make it a lower-bound witness.
     """
-    block = [j for j, vertices in enumerate(layers(spec)) for _ in vertices]
-    n = len(block)
-    colors = [max(block[u], block[v]) + 1 for u in range(n - 1) for v in range(u + 1, n)]
+    blocks = layers(spec)
+    n = sum(map(len, blocks))
     assert n == predicted_gr(spec) - 1
+    block = [0] * n
+    for j, vertices in enumerate(blocks, 1):
+        block[vertices.start:vertices.stop] = [j] * len(vertices)
+    # pair (u, v), u < v, takes the color of v's block
+    colors = [j for v in range(1, n) for j in block[v:]]
     return EdgeColoring(n, spec.k, colors)

@@ -4,8 +4,10 @@ matchings and the triangle.
 The target family is parameterized by n >= 3: colors get paths on
 5, 7, ..., 2n-1 vertices (index i means a path on 2i+3 vertices for
 i <= n-2), and index n-1 means the head target, either the cycle C_{2n}
-or the long path P_{2n+1}. A TargetSpec fixes n, the color count k, a
-non-increasing index per color, and the head interpretation.
+or the long path P_{2n+1}. A TargetSpec fixes n, the color count k, an
+index per color in the caller's order, and the head interpretation. Its
+head color is the first with the largest index; permuting the colors
+together with their indices leaves the predicted value unchanged.
 
 known_gr holds one rule per family of named targets. With h = m // 2
 for P_m and C_m, and h = s for the matching M_s, the construction gives
@@ -46,17 +48,13 @@ HEAD_PATH = "path"
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Sorted per-color target indices within one family.
-
-    `source_colors[j-1]` is the caller's original color id for sorted
-    color j, so certificates can be mapped back after sorting.
-    """
+    """Per-color target indices within one family, in the caller's color
+    order: color j gets indices[j-1]."""
 
     n: int
     k: int
     indices: tuple[int, ...]
     head: str = HEAD_CYCLE
-    source_colors: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.n < 3:
@@ -74,19 +72,9 @@ class TargetSpec:
                 raise IndexOutOfRangeError(
                     f"index {i} outside [0, {self.n - 1}]"
                 )
-        if any(a < b for a, b in zip(self.indices, self.indices[1:])):
-            raise InvalidSpecError(f"indices must be non-increasing: {self.indices}")
-        if not self.source_colors:
-            object.__setattr__(
-                self, "source_colors", tuple(range(1, self.k + 1))
-            )
-        elif sorted(self.source_colors) != list(range(1, self.k + 1)):
-            raise InvalidSpecError(
-                f"source_colors must permute 1..{self.k}, got {self.source_colors}"
-            )
 
     def target(self, color: int) -> TargetGraph:
-        """Target graph for sorted color `color` (1-based)."""
+        """Target graph for color `color` (1-based)."""
         i = self.indices[color - 1]
         if i <= self.n - 2:
             return path(2 * i + 3)
@@ -97,9 +85,13 @@ class TargetSpec:
     def targets(self) -> list[TargetGraph]:
         return [self.target(j) for j in range(1, self.k + 1)]
 
+    def head_color(self) -> int:
+        """The first color with the largest index (1-based)."""
+        return self.indices.index(max(self.indices)) + 1
+
     def largest_order(self) -> int:
-        """Vertex count of the color-1 target."""
-        return self.target(1).num_vertices
+        """Vertex count of the head color's target."""
+        return self.target(self.head_color()).num_vertices
 
     def describe(self) -> str:
         items = ",".join(str(i) for i in self.indices)
@@ -109,20 +101,15 @@ class TargetSpec:
 def sorted_spec(
     indices: Sequence[int], n: int, k: int | None = None, head: str = HEAD_CYCLE
 ) -> TargetSpec:
-    """Normalize raw per-color indices into a sorted TargetSpec.
-
-    The sort is stable and descending; the recorded permutation maps the
-    sorted color order back to the caller's colors. TargetSpec checks the
-    index count and range.
-    """
+    """The TargetSpec with its colors renumbered by non-increasing index,
+    the order in which the paper states its conjecture. TargetSpec checks
+    the index count and range."""
     raw = list(indices)
-    order = sorted(range(len(raw)), key=lambda j: (-raw[j], j))
     return TargetSpec(
         n=n,
         k=len(raw) if k is None else k,
-        indices=tuple(raw[j] for j in order),
+        indices=tuple(sorted(raw, reverse=True)),
         head=head,
-        source_colors=tuple(j + 1 for j in order),
     )
 
 
@@ -130,7 +117,8 @@ _SPEC_ITEM = re.compile(r"^(n|k|head|i)=(.+)$")
 
 
 def parse_spec_string(text: str) -> TargetSpec:
-    """Parse the CLI spec syntax, e.g. "n=3 k=3 head=cycle i=2,2,2"."""
+    """Parse the CLI spec syntax, e.g. "n=3 k=3 head=cycle i=2,2,2". The
+    indices keep the order given: the i-th entry is color i's."""
     fields: dict[str, str] = {}
     for token in text.split():
         m = _SPEC_ITEM.match(token)
@@ -155,12 +143,12 @@ def parse_spec_string(text: str) -> TargetSpec:
     head = fields.get("head", HEAD_CYCLE).lower()
     if head in ("long_path", "longpath"):
         head = HEAD_PATH
-    return sorted_spec(indices, n=n, k=k, head=head)
+    return TargetSpec(n=n, k=k, indices=tuple(indices), head=head)
 
 
 def predicted_gr(spec: TargetSpec) -> int:
-    """Order of the largest target plus the sum of the remaining indices."""
-    return spec.largest_order() + sum(spec.indices[1:])
+    """Order of the head color's target plus the sum of the other indices."""
+    return spec.largest_order() + sum(spec.indices) - max(spec.indices)
 
 
 def classical_ramsey(h1: TargetGraph, h2: TargetGraph) -> int:

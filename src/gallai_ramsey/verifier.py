@@ -361,27 +361,43 @@ def _solve(
     return None, search.stats
 
 
-# the search of a pool worker and the call's shared first-stop index
-# (see _solve_subtask), both set by the pool's initializer
+# set by the pool's initializer: the search of a pool worker, the call's
+# shared first-stop index and the pool's chunk size (see _solve_subtask);
+# and the nodes of the subtasks the worker has run in its current chunk
 _worker_search: Optional[_Search] = None
 _first_stop = None
+_chunk = 1
+_chunk_nodes = 0
 
 
-def _start_worker(n: int, targets: Sequence[TargetGraph], symmetry: bool, first_stop) -> None:
-    global _worker_search, _first_stop
+def _start_worker(
+    n: int, targets: Sequence[TargetGraph], symmetry: bool, first_stop, chunk: int
+) -> None:
+    global _worker_search, _first_stop, _chunk, _chunk_nodes
     _worker_search = _Search(n, targets, symmetry)
     _first_stop = first_stop
+    _chunk = chunk
+    _chunk_nodes = 0
 
 
 def _solve_subtask(task: tuple) -> tuple[Optional[list[int]], SearchStats]:
-    """_solve on the worker's search for `(index, prefix, budget)`. The
-    fold breaks at or before every subtask that stops at a witness or
-    past its budget, so a worker that stops lowers the shared index to
-    its subtask, and a task past the index comes back at once, empty."""
+    """_solve on the worker's search for `(index, prefix, budget)`, where
+    `budget` is what the sequential order leaves at the prefix when no
+    subtask runs before it. The subtasks this worker ran earlier in the
+    same chunk come just before it in that order, so their nodes come
+    off too; in the first chunk what is left is then exact. The fold
+    breaks at or before every subtask that stops at a witness or past
+    its budget, so a worker that stops lowers the shared index to its
+    subtask, and a task past the index comes back at once, empty."""
+    global _chunk_nodes
     index, prefix, budget = task
+    if index % _chunk == 0:
+        _chunk_nodes = 0
     if index > _first_stop.value:
         return None, SearchStats()
+    budget -= _chunk_nodes
     colors, stats = _solve(_worker_search, prefix, budget)
+    _chunk_nodes += stats.nodes
     if colors is not None or stats.nodes > budget:
         with _first_stop.get_lock():
             _first_stop.value = min(_first_stop.value, index)
@@ -402,12 +418,13 @@ def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[i
     worker keeps one search, memos included, for the whole call, and
     takes the subtasks in contiguous chunks, as Pool.map sizes them, so
     that neighbouring prefixes, which share memo keys, meet the same
-    memo. Subtask j may use the nodes left when the sequential order
-    reaches prefix j; the fold stops at a witness or once the sequential
-    count exceeds the budget. Later subtasks are then answered at once
-    through the shared first-stop index (_solve_subtask). The pool is
-    closed and joined, never terminated: a worker killed mid-write can
-    keep the result queue's lock and hang the pool's teardown for good."""
+    memo. Subtask j may use the nodes the sequential order leaves at
+    prefix j, less those of the subtasks before it in its chunk; the
+    fold stops at a witness or once the sequential count exceeds the
+    budget. Later subtasks are then answered at once through the shared
+    first-stop index (_solve_subtask). The pool is closed and joined,
+    never terminated: a worker killed mid-write can keep the result
+    queue's lock and hang the pool's teardown for good."""
     top = _Search(n, targets, symmetry)
     # a budget stop up here still hands out the prefixes reached
     prefixes = list(top.leaves((), budget, SPLIT_DEPTH))
@@ -418,7 +435,7 @@ def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[i
     workers = min(threads, len(prefixes))
     chunk = -(-len(prefixes) // (4 * workers))
     first_stop = multiprocessing.Value("q", len(prefixes))
-    init = (n, targets, symmetry, first_stop)
+    init = (n, targets, symmetry, first_stop, chunk)
     with multiprocessing.Pool(workers, initializer=_start_worker, initargs=init) as pool:
         results = pool.imap(_solve_subtask, tasks, chunksize=chunk)
         for j, ((_, before), (colors, sub)) in enumerate(zip(prefixes, results)):
@@ -450,8 +467,10 @@ def decide_upper(
     color) candidates have been tried in the sequential search order.
     With threads > 1 the tree is split into subtrees run by at most that
     many worker processes; the verdict and witness are those of the
-    sequential run, and so are the counters unless the budget runs out.
-    After a stop each other worker ends its work at its next subtask.
+    sequential run, and so are the counters unless the budget runs out
+    outside the subtasks of the first chunk, where a stop may count more
+    nodes. After a stop each other worker ends its work at its next
+    subtask.
     """
     targets = _as_targets(spec_or_targets)
     if n < 2:

@@ -33,6 +33,18 @@ def test_construct_check_pipeline(tmp_path, capsys):
     assert stdout.strip() == "none"
 
 
+def test_construct_keeps_caller_colors(tmp_path, capsys):
+    # color 2 takes the C6: its block comes first, and color 1 the P3
+    out = tmp_path / "w.col"
+    code, _, _ = run(capsys, "construct", "--spec", "n=3 i=0,2", "-o", str(out))
+    assert code == 0
+    code, stdout, _ = run(capsys, "check", "--coloring", str(out), "--targets", "P3,C6")
+    assert code == 1
+    assert stdout.strip() == "none"
+    code, stdout, _ = run(capsys, "formula", "--gr", "n=3 i=0,2")
+    assert code == 0 and stdout.strip() == "6"
+
+
 def test_construct_json_matches_written_file(tmp_path, capsys):
     out = tmp_path / "w.col"
     code, stdout, _ = run(

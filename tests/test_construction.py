@@ -1,6 +1,7 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from gallai_ramsey import (
+    TargetSpec,
     build_lower_bound_coloring,
     contains_required,
     find_mono,
@@ -8,6 +9,7 @@ from gallai_ramsey import (
     path,
     predicted_gr,
     sorted_spec,
+    verify_lower,
 )
 from gallai_ramsey.construction import layer_sizes, layers
 
@@ -80,3 +82,25 @@ def test_lower_bound_soundness_sample():
         c = build_lower_bound_coloring(spec)
         assert is_gallai(c) is True
         assert contains_required(c, spec.targets()) is None
+
+
+def test_caller_color_order():
+    # every order of every index multiset, under both heads: the head
+    # color is the first with the largest index, and the witness avoids
+    # each color's own target on predicted - 1 vertices
+    for n in (3, 4):
+        for k in (2, 3, 4):
+            for idx in product(range(n), repeat=k):
+                for head in ("cycle", "path"):
+                    spec = TargetSpec(n=n, k=k, indices=idx, head=head)
+                    res = verify_lower(spec)
+                    assert res.ok, spec.describe()
+                    assert res.witness.n == predicted_gr(spec) - 1
+
+
+def test_unsorted_layers():
+    spec = TargetSpec(n=3, k=3, indices=(1, 2, 2))
+    assert layer_sizes(spec) == [1, 5, 2]
+    assert layers(spec) == [range(5, 6), range(0, 5), range(6, 8)]
+    c = build_lower_bound_coloring(spec)
+    assert c.color(0, 5) == 1 and c.color(4, 6) == 3 and c.color(5, 7) == 3

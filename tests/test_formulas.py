@@ -22,23 +22,16 @@ def test_spec_validation():
         TargetSpec(n=2, k=2, indices=(1, 1))
     with pytest.raises(InvalidSpecError):
         TargetSpec(n=3, k=1, indices=(1,))
-    with pytest.raises(InvalidSpecError):
-        TargetSpec(n=3, k=2, indices=(1, 2))  # not sorted
+    # indices keep the caller's color order
+    assert TargetSpec(n=3, k=2, indices=(1, 2)).indices == (1, 2)
     with pytest.raises(IndexOutOfRangeError):
         TargetSpec(n=3, k=2, indices=(3, 1))
     with pytest.raises(InvalidSpecError):
         TargetSpec(n=3, k=2, indices=(1, 1), head="loop")
 
 
-def test_sorted_spec_records_color_permutation():
-    spec = sorted_spec([0, 2, 1], n=3)
-    assert spec.indices == (2, 1, 0)
-    assert spec.source_colors == (2, 3, 1)
-
-
-def test_sorted_spec_identity_when_sorted():
-    spec = sorted_spec([2, 1, 0], n=3)
-    assert spec.source_colors == (1, 2, 3)
+def test_sorted_spec_sorts_indices():
+    assert sorted_spec([0, 2, 1], n=3).indices == (2, 1, 0)
 
 
 def test_sorted_spec_out_of_range():

@@ -399,13 +399,13 @@ def test_stopped_worker_skips_later_subtasks(monkeypatch):
     targets = parse_target_list("C4,C4,C4,C4")
     witness, empty, full = (1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 2, 3)
     first_stop = multiprocessing.Value("q", 100)
-    _start_worker(7, targets, True, first_stop)
+    _start_worker(7, targets, True, first_stop, 1)
     for index, prefix, nodes in [(0, empty, 4_588), (1, full, 14_728)]:
         assert _solve_subtask((index, prefix, DEFAULT_BUDGET))[1].nodes == nodes
     assert first_stop.value == 100
     for budget, found, nodes in [(DEFAULT_BUDGET, True, 27_493), (1_000, False, 1_001)]:
         first_stop = multiprocessing.Value("q", 100)
-        _start_worker(7, targets, True, first_stop)
+        _start_worker(7, targets, True, first_stop, 1)
         colors, stats = _solve_subtask((3, witness, budget))
         assert (colors is not None, stats.nodes, first_stop.value) == (found, nodes, 3)
         colors, stats = _solve_subtask((4, full, DEFAULT_BUDGET))
@@ -414,7 +414,7 @@ def test_stopped_worker_skips_later_subtasks(monkeypatch):
     # subtasks but still runs the earlier ones, and a stop of its own
     # lowers the index further
     first_stop = multiprocessing.Value("q", 100)
-    _start_worker(7, targets, True, first_stop)
+    _start_worker(7, targets, True, first_stop, 1)
     first_stop.value = 5
     colors, stats = _solve_subtask((6, empty, DEFAULT_BUDGET))
     assert colors is None and counts(stats) == (0, 0, 0, 0)
@@ -481,6 +481,27 @@ def test_parallel_matches_sequential():
                 assert counts(s_par) == counts(s_seq)
     got = [counts(decide_upper(n, targets, symmetry=False, threads=2)[1]) for n, targets in off]
     assert got == [(9_402, 2_684, 3_585, 0), (15, 0, 5, 0), (11_935, 5_950, 2_993, 0)]
+
+
+@pytest.mark.parametrize(
+    "n, targets, budget",
+    [
+        (8, "C6,P6", 15_142),
+        (8, "P6,P6", 3_202),
+        (7, "P5,P5,P5,P3", 22_994),
+        (7, "C4,C4,C4", 19_913),
+        (8, "M3,M3", 2_490),
+    ],
+)
+def test_split_budget_stop_in_first_chunk(n, targets, budget):
+    # each stop falls in a subtask of the first chunk: the nodes the
+    # worker ran there before it come off that subtask's share, so it
+    # stops exactly where the sequential run does. Without them C6,P6@8
+    # counts 18,949 nodes instead of 15,143.
+    v_seq, s_seq = decide_upper(n, targets, budget)
+    v_par, s_par = decide_upper(n, targets, budget, threads=2)
+    assert v_seq.kind == v_par.kind == BUDGET
+    assert counts(s_par) == counts(s_seq)
 
 
 @pytest.mark.parametrize(
