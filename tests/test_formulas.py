@@ -30,8 +30,20 @@ def test_spec_validation():
         TargetSpec(n=3, k=2, indices=(1, 1), head="loop")
 
 
-def test_sorted_spec_sorts_indices():
-    assert sorted_spec([0, 2, 1], n=3).indices == (2, 1, 0)
+def test_sorted_spec_records_color_permutation():
+    caller = TargetSpec(n=3, k=3, indices=(0, 2, 1))
+    spec = sorted_spec([0, 2, 1], n=3)
+    assert spec.indices == (2, 1, 0)
+    # sorted color c is caller color (2, 3, 1)[c - 1]
+    assert spec.targets() == [caller.target(c) for c in (2, 3, 1)]
+    assert spec.head_color() == 1 and caller.head_color() == 2
+    assert predicted_gr(spec) == predicted_gr(caller)
+
+
+def test_sorted_spec_identity_when_sorted():
+    spec = sorted_spec([2, 1, 0], n=3)
+    assert spec == TargetSpec(n=3, k=3, indices=(2, 1, 0))
+    assert spec.targets() == [even_cycle(6), path(5), path(3)]
 
 
 def test_sorted_spec_out_of_range():
