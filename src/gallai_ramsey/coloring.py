@@ -5,13 +5,8 @@ pair of K_n. Colors live in a flat triangular array in lexicographic
 pair order (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1); that
 order is also the wire format used by read_coloring/write_coloring.
 
-The rainbow test works on bit-planes. With L the bit length of the
-largest used color, plane j of vertex v is the mask of the w whose color
-c(v, w) has binary digit j set; the L planes of v are packed into one
-int, plane j at bits j*n and up. Two vertices u, v then see w in
-different colors exactly where the XOR of their packed ints has a bit in
-some plane, so each pair costs a constant number of big-int operations,
-whatever k is.
+The rainbow test takes one least vertex at a time, at one big-int OR
+per vertex pair, (used colors) * n bits wide (see is_gallai).
 
 The per-edge work of the core runs at C speed where it can:
 - the class adjacency of a host with many vertices per used color
@@ -249,49 +244,64 @@ def is_gallai(c: EdgeColoring) -> Union[bool, RainbowWitness]:
     """True if no triangle carries three distinct colors, else the
     lexicographically least witness triple.
 
-    A pair u < v of color a has a witness w > v when both c(u, w) and
-    c(v, w) differ from a and from each other. The first two conditions
-    are a mask over w; it is copied into each of the L bit-planes (one
-    multiply) and met with the XOR of the packed planes of u and v, which
-    has a bit in some plane of w exactly when c(u, w) != c(v, w). That is
-    a constant number of big-int operations per pair; only a hit folds
-    the planes back to find its least w.
+    packed[v] holds v's class rows side by side, block i for the i-th
+    used color. For a least vertex u and a color r at u, the OR of
+    packed[v] over the v above u with c(u, v) = r has a bit at w in
+    block i when some such v has c(v, w) equal to the i-th color; u, v,
+    w is rainbow when that color is neither r nor c(u, w). Each color
+    at u leaves `left`, the w still to pair with u, before its test, so
+    a triangle is tested at the first of its two colors at u.
     """
     used = c._used
     if len(used) <= 2:
         return True
     n = c.n
-    adj = c.color_adjacency()
-    planes = used[-1].bit_length()
+    rows = list(map(c.color_adjacency().__getitem__, used))
     packed = [0] * n
-    for a in used:
-        for j in range(planes):
-            if a >> j & 1:
-                shift = j * n
-                for v, row in enumerate(adj[a]):
-                    packed[v] |= row << shift
-    rep = sum(1 << (j * n) for j in range(planes))
+    for i, row in enumerate(rows):
+        for v in range(n):
+            packed[v] |= row[v] << i * n
     full = (1 << n) - 1
-    highs = [full & ~((2 << v) - 1) for v in range(n)]
-    cols = c.colors
-    idx = 0
-    for u in range(n - 1):
-        pu = packed[u]
-        for v in range(u + 1, n):
-            adj_a = adj[cols[idx]]
-            idx += 1
-            cand = highs[v] & ~(adj_a[u] | adj_a[v])
-            if not cand:
+    repk = sum(1 << i * n for i in range(len(used)))
+    for u in range(n - 2):
+        left = above = full & -(2 << u)
+        z = above * repk & ~packed[u]
+        for i, row in enumerate(rows):
+            sel = row[u] & above
+            if not sel:
                 continue
-            hit = (pu ^ packed[v]) & cand * rep
-            if hit:
-                ws = 0
-                for j in range(planes):
-                    ws |= hit >> (j * n)
-                ws &= full
-                w = (ws & -ws).bit_length() - 1
-                return RainbowWitness((u, v, w))
+            left &= ~sel
+            if not left:
+                break
+            un = 0
+            while sel:
+                low = sel & -sel
+                un |= packed[low.bit_length() - 1]
+                sel ^= low
+            if un & z & left * repk & ~(full << i * n):
+                return _least_witness(c, u, packed, repk)
     return True
+
+
+def _least_witness(c: EdgeColoring, u: int, packed: list[int], repk: int) -> RainbowWitness:
+    """The least v, then w, of a rainbow triangle u < v < w that the
+    caller found; packed[v] & ~packed[u] marks c(v, w) != c(u, w)."""
+    n = c.n
+    full = (1 << n) - 1
+    adj = c.color_adjacency()
+    idx = pair_index(n, u, u + 1)
+    for v in range(u + 1, n):
+        row = adj[c.colors[idx]]
+        idx += 1
+        # the w above v whose edges to u and v avoid c(u, v)
+        hit = packed[v] & ~packed[u] & (full & -(2 << v) & ~(row[u] | row[v])) * repk
+        if hit:
+            ws = 0
+            while hit:
+                ws |= hit & full
+                hit >>= n
+            return RainbowWitness((u, v, (ws & -ws).bit_length() - 1))
+    raise AssertionError(f"no rainbow triangle has least vertex {u}")
 
 
 def random_gallai(n: int, k: int, seed: int) -> EdgeColoring:

@@ -13,8 +13,9 @@ known_gr holds one rule per family of named targets. With h = m // 2
 for P_m and C_m, and h = s for the matching M_s, the construction gives
 GR_k >= (h-1)k + h + 1, plus one for paths on an odd number of vertices.
 The rule is exact through P9, C8 and M4 (C4 alone is k + 4 for k >= 2,
-and 4 for one color); past those it is the lower bound, paired with the
-general upper bound (h-1)k + 3h.
+and 4 for one color), and at every size for k <= 2, where it is |H| and
+R(H, H); past those it is the lower bound, paired with the general upper
+bound (h-1)k + 3h.
 """
 
 from __future__ import annotations
@@ -201,7 +202,11 @@ def known_gr(name: str, k: int) -> Union[int, Bounds]:
     Paths, even cycles and matchings follow one rule each: with h = m // 2
     for P_m and C_m and h = s for M_s, the value is (h-1)k + h + 1, plus
     one for odd paths, exact through P9, C8 and M4 (C4 is k + 4 for
-    k >= 2 and 4 for k = 1, where K_4 is itself a C4). Past
+    k >= 2 and 4 for k = 1, where K_4 is itself a C4). It is exact at
+    every size for k <= 2 too: one color on K_|H| is itself a copy of H,
+    and two colors give R(H, H), 3h - 1 plus one for odd paths
+    (Gerencser & Gyarfas 1967 for paths, Faudree & Schelp 1974 and
+    Rosta 1973 for cycles, Cockayne & Lorimer 1975 for matchings). Past
     those it is a (lower, upper) pair: that construction lower bound and
     the general upper bound (h-1)k + 3h. Odd cycles through C15 and K3
     have their own forms. Raises OutOfHypothesesError for targets no
@@ -245,4 +250,6 @@ def known_gr(name: str, k: int) -> Union[int, Bounds]:
             raise OutOfHypothesesError(f"no closed form for M{size}")
         half, exact_through = size, 4
         lower = (size - 1) * k + size + 1
-    return lower if size <= exact_through else (lower, (half - 1) * k + 3 * half)
+    if size <= exact_through or k <= 2:
+        return lower
+    return lower, (half - 1) * k + 3 * half

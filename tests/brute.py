@@ -13,7 +13,6 @@ from gallai_ramsey import (
     RainbowWitness,
     ViolationReport,
     contains_required,
-    is_gallai,
 )
 from gallai_ramsey.targets import CYCLE, MATCHING, PATH, TargetGraph
 
@@ -152,7 +151,7 @@ def brute_decide_upper(n: int, targets) -> str:
     m = n * (n - 1) // 2
     for combo in product(range(1, k + 1), repeat=m):
         c = EdgeColoring(n, k, combo)
-        if is_gallai(c) is not True:
+        if brute_rainbow(c) is not True:
             continue
         if contains_required(c, targets) is None:
             return "bad_coloring"

@@ -76,8 +76,13 @@ def test_formula_classical_and_known(capsys):
     assert code == 0 and stdout.strip() == "10"
     code, stdout, _ = run(capsys, "formula", "--known", "K3", "-k", "4", "--json")
     assert code == 0 and json.loads(stdout) == {"value": 26}
+    # two colors give R(C10, C10); three only a bound pair
     code, stdout, _ = run(capsys, "formula", "--known", "C10", "-k", "2", "--json")
-    assert code == 0 and json.loads(stdout) == {"lower": 14, "upper": 23}
+    assert code == 0 and json.loads(stdout) == {"value": 14}
+    code, stdout, _ = run(capsys, "formula", "--known", "C10", "-k", "3", "--json")
+    assert code == 0 and json.loads(stdout) == {"lower": 18, "upper": 27}
+    code, stdout, _ = run(capsys, "formula", "--known", "C10", "-k", "3")
+    assert code == 0 and stdout.strip() == "between 18 and 27"
 
 
 def test_partition_command(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -123,8 +124,8 @@ def test_is_gallai_permutation_invariant():
 
 
 def test_is_gallai_matches_brute_force_oracle():
-    # k up to 10 packs up to four bit-planes; palettes drawn from part of
-    # [1, k] leave colors unused
+    # k up to 10 gives rows of up to ten blocks; palettes drawn from part
+    # of [1, k] leave colors unused
     rng = random.Random(59)
     small = []
     for _ in range(1500):
@@ -145,6 +146,79 @@ def test_is_gallai_matches_brute_force_oracle():
             assert got == brute_rainbow(c), (c.n, c.k, c.colors)
             verdicts.add(got is True)
         assert verdicts == {True, False}
+
+
+def _with_rainbow_twins(base, twins, inner):
+    """`base` with its last vertex split into three twins at the sorted
+    positions `twins` of K_{n+2}, the others keeping their order. The
+    twins' edges take `inner` in pair order. Two twins see every other
+    vertex in one color, so on a Gallai base the twins' triangle is the
+    only rainbow one when `inner` holds three distinct colors."""
+    n = base.n + 2
+    image = dict(zip([x for x in range(n) if x not in twins], range(base.n - 1)))
+    image.update((t, base.n - 1) for t in twins)
+    inside = dict(zip(combinations(twins, 2), inner))
+    colors = [
+        inside[(x, y)] if image[x] == image[y] else base.color(image[x], image[y])
+        for x, y in combinations(range(n), 2)
+    ]
+    return EdgeColoring(n, max(base.k, *inner), colors)
+
+
+def test_is_gallai_rainbow_only_at_last_least_vertex():
+    # the only rainbow triangle is the last one, n-3 < n-2 < n-1
+    rng = random.Random(67)
+    for n, k in [(60, 3), (61, 4), (64, 6), (70, 9)]:
+        base = random_gallai(n - 2, k, rng.randrange(2 ** 32))
+        c = _with_rainbow_twins(base, (n - 3, n - 2, n - 1), rng.sample(range(1, k + 1), 3))
+        assert is_gallai(c) == brute_rainbow(c) == RainbowWitness((n - 3, n - 2, n - 1))
+        assert is_gallai(random_gallai(n, k, rng.randrange(2 ** 32))) is True
+
+
+@pytest.mark.parametrize("labels", ["last two", "first and last"])
+def test_is_gallai_labels_at_least_vertex(labels):
+    # the two colors at the least vertex of the only rainbow triangle are
+    # the last two used colors, or the first and the last, either way round
+    rng = random.Random(71)
+    for trial in range(24):
+        n, k = rng.randint(6, 40), rng.randint(4, 9)
+        pair = (k - 1, k) if labels == "last two" else (1, k)
+        third = rng.choice([a for a in range(1, k + 1) if a not in pair])
+        a, b = pair if trial % 2 else pair[::-1]
+        if trial % 3:
+            twins = tuple(sorted(rng.sample(range(n), 3)))
+        else:
+            # the witness's middle vertex right after its least one
+            start = rng.randrange(n - 2)
+            twins = (start, start + 1, rng.randrange(start + 2, n))
+        c = _with_rainbow_twins(random_gallai(n - 2, k, rng.randrange(2 ** 32)), twins, (a, b, third))
+        used = c.used_colors()
+        assert (used[-2:] if labels == "last two" else [used[0], used[-1]]) == list(pair)
+        assert is_gallai(c) == brute_rainbow(c) == RainbowWitness(twins)
+
+
+def test_is_gallai_many_colors_numbered_apart():
+    # nine or more used colors, none consecutive: blocks follow the rank
+    # of a used color, not its value
+    rng = random.Random(73)
+    verdicts = set()
+    for trial in range(60):
+        palette = sorted(rng.sample(range(1, 300, 3), rng.randint(9, 14)))
+        n = rng.randint(10, 30)
+        if trial % 3 == 0:
+            colors = [rng.choice(palette) for _ in range(n * (n - 1) // 2)]
+        else:
+            host = random_gallai(n, len(palette), rng.randrange(2 ** 32))
+            colors = [palette[a - 1] for a in host.colors]
+            if trial % 3 == 1:
+                colors[rng.randrange(len(colors))] = rng.choice(palette)
+        c = EdgeColoring(n, 300, colors)
+        if len(c.used_colors()) < 9:
+            continue
+        got = is_gallai(c)
+        assert got == brute_rainbow(c), (n, colors)
+        verdicts.add(got is True)
+    assert verdicts == {True, False}
 
 
 def test_random_gallai_is_gallai():

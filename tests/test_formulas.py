@@ -167,39 +167,51 @@ def test_known_gr_matchings():
 
 def test_known_gr_one_color_is_the_target_order():
     # with one color, K_|H| is itself a copy of H, and K_{|H|-1} holds
-    # none, so GR_1(H) = |H|; for a bound pair its lower end
+    # none, so GR_1(H) = |H|
     names = [f"P{m}" for m in range(3, 13)] + [f"C{m}" for m in range(4, 13)]
     names += [f"M{s}" for s in range(3, 7)] + ["K3"]
     for name in names:
         order = 2 * int(name[1:]) if name[0] == "M" else int(name[1:])
-        value = known_gr(name, 1)
-        lower = value[0] if isinstance(value, tuple) else value
-        assert lower == order, (name, value)
+        assert known_gr(name, 1) == order, name
+
+
+def test_known_gr_two_colors_is_the_ramsey_number():
+    # GR_2(H) = R(H, H): every 2-coloring is Gallai
+    for m in range(10, 21):
+        assert known_gr(f"P{m}", 2) == classical_ramsey(path(m), path(m)), m
+    for m in range(10, 21, 2):
+        assert known_gr(f"C{m}", 2) == classical_ramsey(even_cycle(m), even_cycle(m)), m
+    # R(M_s, M_s) = 3s - 1 (Cockayne & Lorimer 1975)
+    for s in range(3, 10):
+        assert known_gr(f"M{s}", 2) == 3 * s - 1, s
 
 
 def test_known_gr_bounds():
-    lo, hi = known_gr("C10", 3)
-    assert (lo, hi) == (4 * 3 + 6, 4 * 3 + 15)
-    lo, hi = known_gr("P10", 2)
-    assert (lo, hi) == (4 * 2 + 6, 4 * 2 + 15)
-    lo, hi = known_gr("P11", 2)
-    assert (lo, hi) == (4 * 2 + 7, 4 * 2 + 15)
-    lo, hi = known_gr("M5", 2)
-    assert (lo, hi) == (4 * 2 + 6, 4 * 2 + 15)
+    assert known_gr("C10", 3) == (4 * 3 + 6, 4 * 3 + 15)
+    assert known_gr("P10", 3) == (4 * 3 + 6, 4 * 3 + 15)
+    assert known_gr("P11", 3) == (4 * 3 + 7, 4 * 3 + 15)
+    assert known_gr("M5", 3) == (4 * 3 + 6, 4 * 3 + 15)
     for name in ("C10", "C12", "P10", "P13", "M5", "M7"):
-        for k in range(1, 7):
+        for k in range(3, 7):
             lo, hi = known_gr(name, k)
             assert lo <= hi
-    # past the exact range the lower bound is the construction's value
+    # past the exact range the lower bound is the construction's value,
+    # which at k <= 2 is the value itself
+    def lower(value, k):
+        if k <= 2:
+            assert isinstance(value, int)
+            return value
+        return value[0]
+
     for k in range(1, 7):
         for m in range(10, 16):
             h = m // 2
-            assert known_gr(f"P{m}", k)[0] == (h - 1) * k + h + 1 + m % 2
+            assert lower(known_gr(f"P{m}", k), k) == (h - 1) * k + h + 1 + m % 2
         for m in range(10, 15, 2):
             h = m // 2
-            assert known_gr(f"C{m}", k)[0] == (h - 1) * k + h + 1
+            assert lower(known_gr(f"C{m}", k), k) == (h - 1) * k + h + 1
         for s in range(5, 9):
-            assert known_gr(f"M{s}", k)[0] == (s - 1) * k + s + 1
+            assert lower(known_gr(f"M{s}", k), k) == (s - 1) * k + s + 1
 
 
 def test_known_gr_out_of_hypotheses():
