@@ -37,16 +37,17 @@ symmetry rules never change the verdict, only the statistics. They can
 be switched off for testing: their data then never lets them fire.
 
 One loop, `_Search.leaves`, walks the tree below a prefix and yields
-each node at a given depth with the counters reached there. The budget
-bounds the node count in this sequential search order: the loop stops
-once the count exceeds it. A sequential run and each pool subtask take
-the first leaf at full depth, the witness. A parallel run takes every
-leaf at SPLIT_DEPTH edges from one search as the prefixes of its
-subtasks and folds their results in prefix order, each counted at its
-sequential position, so the verdict and witness never depend on the
-thread count. Each pool worker keeps one search, and with it the memos
-and the caches, for the whole call and takes the subtasks in contiguous
-chunks, so that neighbouring prefixes share their entries.
+each node at a given depth with the counters reached there, then None
+with the final counters once the subtree runs out or the count exceeds
+the budget, which bounds the nodes in this sequential order. A
+sequential run and each pool subtask take the first item at full depth:
+the witness, or the final counters. A parallel run takes every leaf at
+SPLIT_DEPTH edges from one search as the prefixes of its subtasks and
+folds their results in prefix order, each counted at its sequential
+position, so the verdict and witness never depend on the thread count.
+The subtasks go out in contiguous chunks, and each pool worker keeps one
+search, with its memos and caches, for the whole call, so that
+neighbouring prefixes share their entries.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .coloring import EdgeColoring, RainbowWitness, is_gallai
@@ -172,22 +174,22 @@ class _Search:
 
     def leaves(
         self, prefix: Sequence[int], budget: int, leaf: int
-    ) -> Iterator[tuple[list[int], SearchStats]]:
+    ) -> Iterator[tuple[Optional[list[int]], SearchStats]]:
         """Color `prefix`, shorter than `leaf`, then yield each node at
         depth `leaf` below it, in the sequential order, as its colors
-        with the counters reached there; stop once more than `budget`
-        nodes have been tried. A leaf at depth m is a witness. Whatever
-        an earlier run left, a stop at a witness or at the budget
+        with the counters reached there. Once the subtree runs out, or
+        once more than `budget` nodes have been tried, yield one last
+        item, None with the final counters, and stop; nodes > budget
+        tells a budget stop. A leaf at depth m is a witness; a caller
+        that stops at a leaf already holds its counters. Whatever an
+        earlier run left, a stop at a witness or at the budget
         included, is cleared first. The memos and the caches stay: a key
         fixes the class graph and the new edge, and a cache entry states
         a fact about an edge set, so neither depends on the prefix.
 
         One loop runs the whole subtree. `assignment` is its stack: a
         depth's entry is the color it tries, and `rainbows` keeps the
-        depth's rainbow mask. The counters are locals, written back to
-        `stats` on every exit: once the subtree is exhausted, at the
-        budget, where nodes then exceeds it, and when the caller closes
-        the generator at a leaf, where they equal the leaf's.
+        depth's rainbow mask.
 
         The key of a through-edge check is the class mask with the new
         edge's bit added, its highest bit. The packed copy cache holds the
@@ -233,111 +235,108 @@ class _Search:
             cls[col] |= ebit
             assignment[idx] = col
         idx = top = len(prefix)
-        stats = self.stats = SearchStats()
         nodes = prunes_rainbow = prunes_mono = prunes_symmetry = 0
-        try:
+        while True:
+            # enter depth idx
+            u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
+            # w joined to u and v in two different colors closes a rainbow
+            # triangle unless the new edge takes one of those two colors
+            rainbow = 0
+            if k >= 3:
+                rainbow = nb[u] & nb[v]
+                for row in color_rows:
+                    rainbow &= ~(row[u] & row[v])
+            rainbows[idx] = rainbow
+            nb[u] |= vbit
+            nb[v] |= ubit
+            col = 0
             while True:
-                # enter depth idx
-                u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
-                # w joined to u and v in two different colors closes a rainbow
-                # triangle unless the new edge takes one of those two colors
-                rainbow = 0
-                if k >= 3:
-                    rainbow = nb[u] & nb[v]
-                    for row in color_rows:
-                        rainbow &= ~(row[u] & row[v])
-                rainbows[idx] = rainbow
-                nb[u] |= vbit
-                nb[v] |= ubit
-                col = 0
-                while True:
-                    if col == k:
-                        # every color tried: undo this depth, then the color
-                        # its parent tried
-                        nb[u] ^= vbit
-                        nb[v] ^= ubit
-                        assignment[idx] = 0
-                        if idx == top:
-                            return
-                        idx -= 1
-                        u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
-                        rainbow = rainbows[idx]
-                        col = assignment[idx]
-                        cls[col] ^= ebit
-                        row = adj[col]
+                if col == k:
+                    # every color tried: undo this depth, then the color
+                    # its parent tried
+                    nb[u] ^= vbit
+                    nb[v] ^= ubit
+                    assignment[idx] = 0
+                    if idx == top:
+                        stats = SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry)
+                        yield None, stats
+                        return
+                    idx -= 1
+                    u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
+                    rainbow = rainbows[idx]
+                    col = assignment[idx]
+                    cls[col] ^= ebit
+                    row = adj[col]
+                    row[u] ^= vbit
+                    row[v] ^= ubit
+                    continue
+                col += 1
+                nodes += 1
+                if nodes > budget:
+                    stats = SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry)
+                    yield None, stats
+                    return
+                if not cls[col]:
+                    p = prev[col]
+                    if p and not cls[p]:
+                        prunes_symmetry += 1
+                        continue
+                if idx == vertex_rule_idx and col < assignment[0]:
+                    prunes_symmetry += 1
+                    continue
+                row = adj[col]
+                if rainbow and rainbow & ~(row[u] | row[v]):
+                    prunes_rainbow += 1
+                    continue
+                row[u] |= vbit
+                row[v] |= ubit
+                check = checks[col]
+                if check is not None:
+                    kernel, size, copy_edges, copies, misses, memo = check
+                    key = cls[col] | ebit
+                    hit = None if memo is None else memo.get(key)
+                    if hit is None:
+                        rep = key * ones
+                        yes = copies[idx]
+                        if (((yes | rep) ^ rep) + low) & guard != guard:
+                            hit = True
+                        else:
+                            no = misses[idx]
+                            if (((rep | no) ^ no) + low) & guard != guard:
+                                hit = False
+                            else:
+                                width = idx + 3
+                                seq: list[int] = []
+                                if kernel(row, u, v, size, seq):
+                                    hit = True
+                                    mask = 0
+                                    for a, b in copy_edges(seq):
+                                        mask |= bits[a][b]
+                                    copies[idx] = (yes << width | mask) & (low | guard)
+                                else:
+                                    hit = False
+                                    misses[idx] = (no << width | key) & (low | guard)
+                        if memo is not None:
+                            if len(memo) >= MEMO_SIZE:
+                                memo.clear()
+                            memo[key] = hit
+                    if hit:
+                        prunes_mono += 1
                         row[u] ^= vbit
                         row[v] ^= ubit
                         continue
-                    col += 1
-                    nodes += 1
-                    if nodes > budget:
-                        return
-                    if not cls[col]:
-                        p = prev[col]
-                        if p and not cls[p]:
-                            prunes_symmetry += 1
-                            continue
-                    if idx == vertex_rule_idx and col < assignment[0]:
-                        prunes_symmetry += 1
-                        continue
-                    row = adj[col]
-                    if rainbow and rainbow & ~(row[u] | row[v]):
-                        prunes_rainbow += 1
-                        continue
-                    row[u] |= vbit
-                    row[v] |= ubit
-                    check = checks[col]
-                    if check is not None:
-                        kernel, size, copy_edges, copies, misses, memo = check
-                        key = cls[col] | ebit
-                        hit = None if memo is None else memo.get(key)
-                        if hit is None:
-                            rep = key * ones
-                            yes = copies[idx]
-                            if (((yes | rep) ^ rep) + low) & guard != guard:
-                                hit = True
-                            else:
-                                no = misses[idx]
-                                if (((rep | no) ^ no) + low) & guard != guard:
-                                    hit = False
-                                else:
-                                    width = idx + 3
-                                    seq: list[int] = []
-                                    if kernel(row, u, v, size, seq):
-                                        hit = True
-                                        mask = 0
-                                        for a, b in copy_edges(seq):
-                                            mask |= bits[a][b]
-                                        copies[idx] = (yes << width | mask) & (low | guard)
-                                    else:
-                                        hit = False
-                                        misses[idx] = (no << width | key) & (low | guard)
-                            if memo is not None:
-                                if len(memo) >= MEMO_SIZE:
-                                    memo.clear()
-                                memo[key] = hit
-                        if hit:
-                            prunes_mono += 1
-                            row[u] ^= vbit
-                            row[v] ^= ubit
-                            continue
-                    cls[col] |= ebit
-                    assignment[idx] = col
-                    if idx + 1 < leaf:
-                        idx += 1
-                        break
-                    yield (
-                        assignment[:leaf],
-                        SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry),
-                    )
-                    cls[col] ^= ebit
-                    row[u] ^= vbit
-                    row[v] ^= ubit
-        finally:
-            stats.nodes = nodes
-            stats.prunes_rainbow = prunes_rainbow
-            stats.prunes_mono = prunes_mono
-            stats.prunes_symmetry = prunes_symmetry
+                cls[col] |= ebit
+                assignment[idx] = col
+                if idx + 1 < leaf:
+                    idx += 1
+                    break
+                yield (
+                    assignment[:leaf],
+                    SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry),
+                )
+                cls[col] ^= ebit
+                row[u] ^= vbit
+                row[v] ^= ubit
 
 
 def _as_targets(spec_or_targets) -> list[TargetGraph]:
@@ -346,62 +345,44 @@ def _as_targets(spec_or_targets) -> list[TargetGraph]:
     return parse_target_list(spec_or_targets)
 
 
-def _solve(
-    search: _Search, prefix: Sequence[int], budget: int
-) -> tuple[Optional[list[int]], SearchStats]:
-    """Search the subtree below `prefix` (the whole tree when empty)
-    within `budget` nodes: the first witness with the counters reached
-    there, or None with the counters, which exceed the budget when it
-    ran out. Sequential runs and pool subtasks run this; the split's top
-    levels take every leaf of `leaves` at SPLIT_DEPTH instead."""
-    # returning drops the generator, which closes it at its yield, and
-    # its `finally` writes the witness's counters back to search.stats
-    for found in search.leaves(prefix, budget, search.m):
-        return found
-    return None, search.stats
-
-
-# set by the pool's initializer: the search of a pool worker, the call's
-# shared first-stop index and the pool's chunk size (see _solve_subtask);
-# and the nodes of the subtasks the worker has run in its current chunk
+# set by the pool's initializer: the search of a pool worker and the
+# call's shared first-stop index (see _solve_chunk)
 _worker_search: Optional[_Search] = None
 _first_stop = None
-_chunk = 1
-_chunk_nodes = 0
 
 
-def _start_worker(
-    n: int, targets: Sequence[TargetGraph], symmetry: bool, first_stop, chunk: int
-) -> None:
-    global _worker_search, _first_stop, _chunk, _chunk_nodes
+def _start_worker(n: int, targets: Sequence[TargetGraph], symmetry: bool, first_stop) -> None:
+    global _worker_search, _first_stop
     _worker_search = _Search(n, targets, symmetry)
     _first_stop = first_stop
-    _chunk = chunk
-    _chunk_nodes = 0
 
 
-def _solve_subtask(task: tuple) -> tuple[Optional[list[int]], SearchStats]:
-    """_solve on the worker's search for `(index, prefix, budget)`, where
-    `budget` is what the sequential order leaves at the prefix when no
-    subtask runs before it. The subtasks this worker ran earlier in the
-    same chunk come just before it in that order, so their nodes come
-    off too; in the first chunk what is left is then exact. The fold
-    breaks at or before every subtask that stops at a witness or past
-    its budget, so a worker that stops lowers the shared index to its
-    subtask, and a task past the index comes back at once, empty."""
-    global _chunk_nodes
-    index, prefix, budget = task
-    if index % _chunk == 0:
-        _chunk_nodes = 0
-    if index > _first_stop.value:
-        return None, SearchStats()
-    budget -= _chunk_nodes
-    colors, stats = _solve(_worker_search, prefix, budget)
-    _chunk_nodes += stats.nodes
-    if colors is not None or stats.nodes > budget:
-        with _first_stop.get_lock():
-            _first_stop.value = min(_first_stop.value, index)
-    return colors, stats
+def _solve_chunk(tasks: list[tuple]) -> list[tuple[Optional[list[int]], SearchStats]]:
+    """Run a chunk of `(index, prefix, budget)` subtasks in turn on the
+    worker's search, each giving the first item of `leaves` at full
+    depth: a witness or the final counters. `budget` is what the
+    sequential order leaves at the prefix when no subtask runs before it.
+    The subtasks earlier in the chunk come just before it in that order,
+    so their nodes come off its budget too; in the first chunk what is
+    left is then exact. The fold breaks at or before every subtask that stops at a
+    witness or past its budget, so a worker that stops lowers the shared
+    index to its subtask, and a task past the index comes back at once,
+    empty."""
+    search = _worker_search
+    spent = 0
+    results = []
+    for index, prefix, budget in tasks:
+        if index > _first_stop.value:
+            results.append((None, SearchStats()))
+            continue
+        budget -= spent
+        colors, stats = next(search.leaves(prefix, budget, search.m))
+        spent += stats.nodes
+        if colors is not None or stats.nodes > budget:
+            with _first_stop.get_lock():
+                _first_stop.value = min(_first_stop.value, index)
+        results.append((colors, stats))
+    return results
 
 
 def _add(total: SearchStats, part: SearchStats) -> None:
@@ -412,32 +393,34 @@ def _add(total: SearchStats, part: SearchStats) -> None:
 
 
 def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[int]], SearchStats]:
-    """_solve on the whole tree, split at SPLIT_DEPTH: one search yields
-    the prefixes there, each with the counters reached at it, and at
-    most `threads` worker processes run the subtrees below them. Each
-    worker keeps one search, memos included, for the whole call, and
-    takes the subtasks in contiguous chunks, as Pool.map sizes them, so
-    that neighbouring prefixes, which share memo keys, meet the same
-    memo. Subtask j may use the nodes the sequential order leaves at
-    prefix j, less those of the subtasks before it in its chunk; the
-    fold stops at a witness or once the sequential count exceeds the
-    budget. Later subtasks are then answered at once through the shared
-    first-stop index (_solve_subtask). The pool is closed and joined,
-    never terminated: a worker killed mid-write can keep the result
-    queue's lock and hang the pool's teardown for good."""
+    """The first witness of the whole tree, or None, with the counters,
+    split at SPLIT_DEPTH: one search yields the prefixes there, each with
+    the counters reached at it, and at most `threads` worker processes
+    run the subtrees below them. The subtasks go out in contiguous chunks
+    of ceil(P / 4W), for P prefixes and W workers, and each worker keeps
+    one search, memos included, for the whole call, so that neighbouring
+    prefixes, which share memo keys, meet the same memo. Subtask j may
+    use the nodes the sequential order leaves at prefix j, less those of
+    the subtasks before it in its chunk (_solve_chunk); the fold stops at
+    a witness or once the sequential count exceeds the budget. Later
+    subtasks are then answered at once through the shared first-stop
+    index. The pool is closed and joined, never terminated: a worker
+    killed mid-write can keep the result queue's lock and hang the pool's
+    teardown for good."""
     top = _Search(n, targets, symmetry)
     # a budget stop up here still hands out the prefixes reached
-    prefixes = list(top.leaves((), budget, SPLIT_DEPTH))
+    *prefixes, (_, top_stats) = top.leaves((), budget, SPLIT_DEPTH)
     if not prefixes:
-        return None, top.stats
+        return None, top_stats
     stats = SearchStats()
-    tasks = ((j, prefix, budget - before.nodes) for j, (prefix, before) in enumerate(prefixes))
-    workers = min(threads, len(prefixes))
-    chunk = -(-len(prefixes) // (4 * workers))
-    first_stop = multiprocessing.Value("q", len(prefixes))
-    init = (n, targets, symmetry, first_stop, chunk)
+    tasks = [(j, prefix, budget - before.nodes) for j, (prefix, before) in enumerate(prefixes)]
+    workers = min(threads, len(tasks))
+    size = -(-len(tasks) // (4 * workers))
+    chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+    first_stop = multiprocessing.Value("q", len(tasks))
+    init = (n, targets, symmetry, first_stop)
     with multiprocessing.Pool(workers, initializer=_start_worker, initargs=init) as pool:
-        results = pool.imap(_solve_subtask, tasks, chunksize=chunk)
+        results = chain.from_iterable(pool.imap(_solve_chunk, chunks))
         for j, ((_, before), (colors, sub)) in enumerate(zip(prefixes, results)):
             _add(stats, sub)
             if colors is not None or before.nodes + stats.nodes > budget:
@@ -445,7 +428,7 @@ def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[i
                 first_stop.value = j
                 break
         else:
-            _add(stats, top.stats)
+            _add(stats, top_stats)
         pool.close()
         pool.join()
     return colors, stats
@@ -482,7 +465,8 @@ def decide_upper(
 
     start = time.perf_counter()
     if threads == 1 or n * (n - 1) // 2 <= SPLIT_DEPTH:
-        colors, stats = _solve(_Search(n, targets, symmetry), (), budget)
+        search = _Search(n, targets, symmetry)
+        colors, stats = next(search.leaves((), budget, search.m))
     else:
         colors, stats = _solve_split(n, targets, budget, symmetry, threads)
     stats.elapsed = time.perf_counter() - start

@@ -12,7 +12,6 @@ from gallai_ramsey import (
     GallaiPartition,
     RainbowWitness,
     ViolationReport,
-    contains_required,
 )
 from gallai_ramsey.targets import CYCLE, MATCHING, PATH, TargetGraph
 
@@ -153,7 +152,7 @@ def brute_decide_upper(n: int, targets) -> str:
         c = EdgeColoring(n, k, combo)
         if brute_rainbow(c) is not True:
             continue
-        if contains_required(c, targets) is None:
+        if all(brute_find_sequence(c, col, t) is None for col, t in enumerate(targets, 1)):
             return "bad_coloring"
     return "all_forced"
 

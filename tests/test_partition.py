@@ -217,6 +217,38 @@ def test_partition_matches_brute_force_oracle():
     assert outcomes == {True, False}
 
 
+def merge_chain(p, h):
+    """Parts {2t, 2t+1}, joined inside in color 3. Part t sees part t+1
+    in color 1 and every later part in color 2, except that part h-1
+    sees part h in color 2; the last two parts see each other in both
+    colors, split by vertex parity."""
+
+    def color(u, v):
+        s, t = u // 2, v // 2
+        if s == t:
+            return 3
+        if s == p - 2 and t == p - 1:
+            return 1 + (u + v) % 2
+        return 1 if t == s + 1 and s != h - 1 else 2
+
+    n = 2 * p
+    return EdgeColoring(n, 3, [color(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def test_partition_merge_chain():
+    # with between colors (1, 2) the parts start as the 12 color-3
+    # pairs. Only the last two show both colors across, and each merge
+    # exposes one more: part p-3 sees the merged part in color 1 and
+    # color 2, then part p-4, and so on down to part h, seven merges,
+    # each found only after the one before. Part h-1 sees the rest in
+    # color 2 alone and stays.
+    c = merge_chain(12, 4)
+    p = gallai_partition(c)
+    assert p.parts == ((0, 1), (2, 3), (4, 5), (6, 7), tuple(range(8, 24)))
+    assert p.between_colors == (1, 2)
+    assert (p.parts, p.between_colors, p.pair_color) == brute_gallai_partition(c)
+
+
 def test_validate_partition_matches_brute_force_oracle():
     # the computed partition, a random cut, and the computed partition
     # with one part split into singletons (homogeneous pairs, often

@@ -28,8 +28,7 @@ from gallai_ramsey.verifier import (
     SPLIT_DEPTH,
     SearchStats,
     _Search,
-    _solve,
-    _solve_subtask,
+    _solve_chunk,
     _start_worker,
 )
 
@@ -126,34 +125,51 @@ def test_search_statistics_are_pinned(n, targets, budget, kind, counts):
     ],
 )
 def test_counters_at_budget_stops(n, targets, budget, want):
-    # the search loop keeps its counters in locals and writes them back
+    # the search loop keeps its counters in locals and yields them once
     # when it stops; a stop at the budget must report them as they stood
-    # at the node over the budget, written back once
+    # at the node over the budget
     verdict, stats = decide_upper(n, targets, budget)
     assert verdict.kind == BUDGET
     assert counts(stats) == want
 
 
+def first(search, prefix, budget=DEFAULT_BUDGET):
+    """The first item of `leaves` at full depth below `prefix`: the
+    witness with its counters, or None with the final counters."""
+    return next(search.leaves(prefix, budget, search.m))
+
+
+@pytest.mark.parametrize(
+    "budget, want",
+    [(10 ** 9, SearchStats(199_134, 84_366, 48_382, 9)), (17, SearchStats(18, 0, 5, 0))],
+    ids=["exhausted", BUDGET],
+)
+def test_leaves_ends_with_one_counters_item(budget, want):
+    # with no witness in C4,C4,C4@7, the search loop yields exactly one
+    # item, once the tree runs out or past the budget: None with the
+    # final counters
+    search = _Search(7, parse_target_list("C4,C4,C4"), True)
+    assert list(search.leaves((), budget, search.m)) == [(None, want)]
+
+
 def test_prefix_search_counters_at_budget_stop():
     # the split's top levels yield each prefix with the counters reached
-    # there and write them back once more at the stop: C4,C4,C4,C4@7 at
-    # budget 100 reaches 53 prefixes, the last at 100 nodes, and stops
-    # at 101
+    # there and the counters at the stop last: C4,C4,C4,C4@7 at budget
+    # 100 reaches 53 prefixes, the last at 100 nodes, and stops at 101
     top = _Search(7, parse_target_list("C4,C4,C4,C4"), True)
-    prefixes = list(top.leaves((), 100, SPLIT_DEPTH))
-    assert counts(top.stats) == (101, 0, 0, 19)
+    *prefixes, last = top.leaves((), 100, SPLIT_DEPTH)
+    assert last == (None, SearchStats(101, 0, 0, 19))
     assert len(prefixes) == 53
     assert prefixes[-1] == ([1, 2, 1, 1, 1, 2], SearchStats(100, 0, 0, 19))
 
 
-def test_witness_stop_writes_back_its_counters():
-    # a stop at a witness closes the search loop at its yield; the
-    # counters it then writes back must be those yielded with the
-    # witness, as a budget stop's are those at the node over the budget
+def test_witness_stop_holds_its_counters():
+    # a caller that stops at a witness holds the counters yielded with
+    # it, as a budget stop's are those at the node over the budget
     search = _Search(7, parse_target_list("C4,C4,C4,C4"), True)
-    colors, stats = _solve(search, (), DEFAULT_BUDGET)
+    colors, stats = first(search, ())
     assert colors is not None
-    assert counts(stats) == counts(search.stats) == (6_791, 3_329, 1_714, 42)
+    assert counts(stats) == (6_791, 3_329, 1_714, 42)
 
 
 @pytest.mark.parametrize(
@@ -171,7 +187,7 @@ def test_memo_entries_match_direct_checks(prefixes):
     n = 7
     search = _Search(n, parse_target_list("C4,C4,C4"), True)
     for prefix in prefixes:
-        assert _solve(search, prefix, DEFAULT_BUDGET)[0] is None
+        assert first(search, prefix)[0] is None
     (memo,) = search.memos.values()
     assert 0 < len(memo) < MEMO_SIZE
     for key, hit in memo.items():
@@ -219,7 +235,7 @@ def test_cache_entries_are_true_facts(n, targets, prefixes):
     # no-copy cache
     search = _Search(n, parse_target_list(targets), True)
     for prefix in prefixes:
-        assert _solve(search, prefix, DEFAULT_BUDGET)[0] is None
+        assert first(search, prefix)[0] is None
     for t, (copies, misses) in search.caches.items():
         stored = [0, 0]
         for idx, (u, v) in enumerate(search.edges):
@@ -281,14 +297,14 @@ def test_packed_caches_match_plain_lists(monkeypatch):
         density = rng.uniform(0.2, 0.8)
         key = 1 << edge | sum(1 << i for i in range(edge) if rng.random() < density)
         prefix = [1 if key >> i & 1 else 2 for i in range(edge)]
-        leaf = next(search.leaves(prefix, DEFAULT_BUDGET, edge + 1), (None,))[0]
+        leaf, stats = next(search.leaves(prefix, DEFAULT_BUDGET, edge + 1))
         assert leaf is None or leaf[:edge] == prefix, (edge, key)
         # color 1 answers yes unless the leaf took it, color 2 (asked
         # only after a yes) unless the leaf took it
         got = [leaf is None or leaf[edge] == 2]
         if got[0]:
             got.append(leaf is None)
-        assert search.stats.prunes_mono == sum(got), (edge, key)
+        assert stats.prunes_mono == sum(got), (edge, key)
         yes, no = plain[edge]
         calls = iter(asked)
         for query, hit in zip((key, key ^ (1 << edge) - 1), got):
@@ -379,8 +395,8 @@ def test_reused_search_matches_fresh_one():
         ((1, 1, 1, 1, 2, 3), DEFAULT_BUDGET),
     ]
     search = _Search(n, targets, True)
-    got = [_solve(search, prefix, budget) for prefix, budget in runs]
-    want = [_solve(_Search(n, targets, True), prefix, budget) for prefix, budget in runs]
+    got = [first(search, prefix, budget) for prefix, budget in runs]
+    want = [first(_Search(n, targets, True), prefix, budget) for prefix, budget in runs]
     assert [colors for colors, _ in got] == [colors for colors, _ in want]
     assert [counts(stats) for _, stats in got] == [counts(stats) for _, stats in want]
     assert [stats.nodes for _, stats in want] == [1_001, 19_089, 14_728]
@@ -399,29 +415,49 @@ def test_stopped_worker_skips_later_subtasks(monkeypatch):
     targets = parse_target_list("C4,C4,C4,C4")
     witness, empty, full = (1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 2, 3)
     first_stop = multiprocessing.Value("q", 100)
-    _start_worker(7, targets, True, first_stop, 1)
-    for index, prefix, nodes in [(0, empty, 4_588), (1, full, 14_728)]:
-        assert _solve_subtask((index, prefix, DEFAULT_BUDGET))[1].nodes == nodes
+    _start_worker(7, targets, True, first_stop)
+    got = _solve_chunk([(0, empty, DEFAULT_BUDGET), (1, full, DEFAULT_BUDGET)])
+    assert [stats.nodes for _, stats in got] == [4_588, 14_728]
     assert first_stop.value == 100
     for budget, found, nodes in [(DEFAULT_BUDGET, True, 27_493), (1_000, False, 1_001)]:
         first_stop = multiprocessing.Value("q", 100)
-        _start_worker(7, targets, True, first_stop, 1)
-        colors, stats = _solve_subtask((3, witness, budget))
+        _start_worker(7, targets, True, first_stop)
+        got = _solve_chunk([(3, witness, budget), (4, full, DEFAULT_BUDGET)])
+        (colors, stats), (skipped, zero) = got
         assert (colors is not None, stats.nodes, first_stop.value) == (found, nodes, 3)
-        colors, stats = _solve_subtask((4, full, DEFAULT_BUDGET))
-        assert colors is None and counts(stats) == (0, 0, 0, 0)
+        assert skipped is None and counts(zero) == (0, 0, 0, 0)
     # an index lowered by another worker: this worker skips the later
     # subtasks but still runs the earlier ones, and a stop of its own
     # lowers the index further
     first_stop = multiprocessing.Value("q", 100)
-    _start_worker(7, targets, True, first_stop, 1)
+    _start_worker(7, targets, True, first_stop)
     first_stop.value = 5
-    colors, stats = _solve_subtask((6, empty, DEFAULT_BUDGET))
+    ((colors, stats),) = _solve_chunk([(6, empty, DEFAULT_BUDGET)])
     assert colors is None and counts(stats) == (0, 0, 0, 0)
-    assert _solve_subtask((4, full, DEFAULT_BUDGET))[1].nodes == 14_728
-    assert first_stop.value == 5
-    assert _solve_subtask((2, witness, DEFAULT_BUDGET))[0] is not None
-    assert first_stop.value == 2
+    ((_, stats),) = _solve_chunk([(4, full, DEFAULT_BUDGET)])
+    assert stats.nodes == 14_728 and first_stop.value == 5
+    ((colors, _),) = _solve_chunk([(2, witness, DEFAULT_BUDGET)])
+    assert colors is not None and first_stop.value == 2
+
+
+def test_chunk_takes_its_earlier_nodes_off_each_share(monkeypatch):
+    # subtask 1 of C4,C4,C4,C4@7, (1,1,1,1,2,3), gets a share of 5,000
+    # nodes. After (1,1,1,1,2,2) in its chunk, which runs out in 4,588,
+    # it may use 412, stops at 413 and lowers the first-stop index to 1;
+    # alone in its chunk it stops at 5,001. A chunk charges only its own
+    # earlier subtasks, not those the worker ran in other chunks.
+    monkeypatch.setattr(verifier, "_worker_search", None)
+    monkeypatch.setattr(verifier, "_first_stop", None)
+    targets = parse_target_list("C4,C4,C4,C4")
+    empty, full = (1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 2, 3)
+    first_stop = multiprocessing.Value("q", 100)
+    _start_worker(7, targets, True, first_stop)
+    got = _solve_chunk([(0, empty, DEFAULT_BUDGET), (1, full, 5_000)])
+    assert [(colors, stats.nodes) for colors, stats in got] == [(None, 4_588), (None, 413)]
+    assert first_stop.value == 1
+    first_stop.value = 100
+    ((colors, stats),) = _solve_chunk([(1, full, 5_000)])
+    assert (colors, stats.nodes, first_stop.value) == (None, 5_001, 1)
 
 
 def test_budget_exhaustion_is_a_verdict():
@@ -502,6 +538,19 @@ def test_split_budget_stop_in_first_chunk(n, targets, budget):
     v_par, s_par = decide_upper(n, targets, budget, threads=2)
     assert v_seq.kind == v_par.kind == BUDGET
     assert counts(s_par) == counts(s_seq)
+
+
+def test_split_budget_stop_past_first_chunk():
+    # C6,P6@8 at budget 75,710 stops past the first chunk, where a
+    # subtask's share can exceed what the sequential order leaves it, so
+    # the split run counts more than the sequential 75,711 nodes. Its
+    # counters still depend only on the chunks, not on which worker takes
+    # which, so every run gives the same.
+    assert decide_upper(8, "C6,P6", 75_710)[1].nodes == 75_711
+    for _ in range(2):
+        verdict, stats = decide_upper(8, "C6,P6", 75_710, threads=2)
+        assert verdict.kind == BUDGET
+        assert counts(stats) == (77_852, 0, 38_925, 0)
 
 
 @pytest.mark.parametrize(
