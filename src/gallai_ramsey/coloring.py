@@ -6,7 +6,10 @@ pair order (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1); that
 order is also the wire format used by read_coloring/write_coloring.
 
 The rainbow test takes one least vertex at a time, at one big-int OR
-per vertex pair, (used colors) * n bits wide (see is_gallai).
+per vertex pair, (used colors) * n bits wide (see is_gallai). It skips
+every vertex with a lower twin, a vertex that sees every other vertex
+in the same color; a Gallai coloring is a substitution of smaller ones
+into a 2-colored graph, so it is full of twins.
 
 The per-edge work of the core runs at C speed where it can:
 - the class adjacency of a host with many vertices per used color
@@ -251,6 +254,18 @@ def is_gallai(c: EdgeColoring) -> Union[bool, RainbowWitness]:
     w is rainbow when that color is neither r nor c(u, w). Each color
     at u leaves `left`, the w still to pair with u, before its test, so
     a triangle is tested at the first of its two colors at u.
+
+    Twins u < v see every other vertex in the same color, so they have
+    equal per-color degrees; v is compared only with the unmarked
+    vertices of equal degrees, and marked when
+    (packed[u] ^ packed[v]) & ~(repk << u | repk << v) == 0. A marked
+    vertex is never a least vertex, and it drops out of its class's OR
+    only after the class has left `left`. This is exact. Let t be the
+    lowest twin of a marked v: a rainbow triangle with least vertex v
+    maps to one with least vertex t, scanned earlier, and a rainbow
+    u, v, w maps to u, t, w, whose least vertex is t, scanned earlier,
+    or u, with t still in the class. So the first least vertex with a
+    rainbow triangle is scanned, and its test hits as without the marks.
     """
     used = c._used
     if len(used) <= 2:
@@ -263,7 +278,21 @@ def is_gallai(c: EdgeColoring) -> Union[bool, RainbowWitness]:
             packed[v] |= row[v] << i * n
     full = (1 << n) - 1
     repk = sum(1 << i * n for i in range(len(used)))
+    # mark each vertex that has a lower twin
+    skip = 0
+    groups = {}
+    for v, degrees in enumerate(zip(*(map(int.bit_count, row) for row in rows))):
+        group = groups.setdefault(degrees, [])
+        for u in group:
+            if not (packed[u] ^ packed[v]) & ~(repk << u | repk << v):
+                skip |= 1 << v
+                break
+        else:
+            group.append(v)
+    keep = ~skip
     for u in range(n - 2):
+        if skip >> u & 1:
+            continue
         left = above = full & -(2 << u)
         z = above * repk & ~packed[u]
         for i, row in enumerate(rows):
@@ -273,6 +302,7 @@ def is_gallai(c: EdgeColoring) -> Union[bool, RainbowWitness]:
             left &= ~sel
             if not left:
                 break
+            sel &= keep
             un = 0
             while sel:
                 low = sel & -sel

@@ -108,6 +108,15 @@ def test_is_gallai_witness_is_lex_least():
     assert w == RainbowWitness((0, 1, 3))
 
 
+def _relabeled(c, rng):
+    """`c` with its vertices renamed by a random permutation."""
+    perm = list(range(c.n))
+    rng.shuffle(perm)
+    return new_coloring(
+        c.n, c.k, {(perm[u], perm[v]): c.color(u, v) for u, v in combinations(range(c.n), 2)}
+    )
+
+
 def test_is_gallai_permutation_invariant():
     rng = random.Random(11)
     for trial in range(20):
@@ -115,12 +124,30 @@ def test_is_gallai_permutation_invariant():
         k = rng.randint(1, 4)
         colors = [rng.randint(1, k) for _ in range(n * (n - 1) // 2)]
         c = EdgeColoring(n, k, colors)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        relabeled = new_coloring(
-            n, k, {(perm[u], perm[v]): c.color(u, v) for u in range(n) for v in range(u + 1, n)}
-        )
-        assert (is_gallai(c) is True) == (is_gallai(relabeled) is True)
+        assert (is_gallai(c) is True) == (is_gallai(_relabeled(c, rng)) is True)
+    # Gallai hosts whose twins no longer sit at consecutive vertices
+    for trial in range(20):
+        c = random_gallai(rng.randint(10, 40), rng.randint(3, 7), rng.randrange(2 ** 32))
+        assert is_gallai(c) is True
+        assert is_gallai(_relabeled(c, rng)) is True
+
+
+def _near_twin(seed):
+    """A random Gallai host in which a vertex y takes an earlier vertex
+    x's colors, after which two of y's edges swap colors: y keeps x's
+    per-color degrees, but it is not x's twin unless the two colors are
+    equal."""
+    rng = random.Random(seed)
+    n, k = rng.randint(5, 9), rng.randint(4, 6)
+    c = random_gallai(n, k, rng.randrange(2 ** 32))
+    x, y = sorted(rng.sample(range(n), 2))
+    colors = list(c.colors)
+    others = [w for w in range(n) if w not in (x, y)]
+    for w in others:
+        colors[pair_index(n, y, w)] = c.color(x, w)
+    i, j = (pair_index(n, y, w) for w in rng.sample(others, 2))
+    colors[i], colors[j] = colors[j], colors[i]
+    return EdgeColoring(n, k, colors)
 
 
 def test_is_gallai_matches_brute_force_oracle():
@@ -139,7 +166,17 @@ def test_is_gallai_matches_brute_force_oracle():
         colors = list(random_gallai(n, k, rng.randrange(2 ** 32)).colors)
         colors[rng.randrange(len(colors))] = rng.randint(1, k)
         large.append(EdgeColoring(n, k, colors))
-    for hosts in (small, large):
+    # near twins: seeds 24, 50, 64, 155 and 191 give a wrong answer when
+    # the twin test sees only the first two color blocks
+    near = [_near_twin(seed) for seed in range(200)]
+    # twins scattered by a relabeling, then one recolored edge
+    scattered = []
+    for _ in range(40):
+        n, k = rng.randint(10, 60), rng.randint(3, 8)
+        colors = list(_relabeled(random_gallai(n, k, rng.randrange(2 ** 32)), rng).colors)
+        colors[rng.randrange(len(colors))] = rng.randint(1, k)
+        scattered.append(EdgeColoring(n, k, colors))
+    for hosts in (small, large, near, scattered):
         verdicts = set()
         for c in hosts:
             got = is_gallai(c)
