@@ -21,6 +21,15 @@ answer, and the tie rule makes it ignore the order of the arguments.
 The verifier colors edges in lex order: at (u, v) with u < v, every
 class neighbor of v but u lies below u, so v is usually the narrow end.
 
+Before the kernel runs, `find_mono` asks the matching oracle below for
+the disjoint edges the target holds: m // 2 for a path on m vertices,
+and length // 2 among the vertices with two class neighbors for a
+cycle. A class short of them holds no copy, so the search answers None
+in polynomial time. Every class of the layered construction is ruled
+out this way: color j's edges all touch its block of i_j vertices, and
+its target P_{2 i_j + 3} needs i_j + 1 disjoint edges. On a pass the
+kernel runs as before, so the embedding does not change.
+
 The kernel tries candidates lowest first, and four devices keep it
 small; each only drops candidates or states that cannot lead to a hit,
 so the first hit is the lex-least:
@@ -45,11 +54,13 @@ there answers yes. When greedy falls short, `_augment` grows it by
 Edmonds' augmenting paths (Edmonds, "Paths, trees, and flowers", 1965),
 contracting blossoms by relabelling their vertices' base, from one
 unmatched vertex at a time; a vertex with no augmenting path never gets
-one later, so the loop ends when too few untried vertices are left. This
-is polynomial on every host and needs no outside library. The oracle is
-exact, so the matching search is a plain loop with no backtracking: it
-takes, once per pair, the lex-least pair whose removal leaves enough
-disjoint edges for the rest.
+one later, so the loop ends when too few untried vertices are left. A
+root whose free neighborhood equals that of a failed root fails too and
+is skipped, so on a blow-up host one search rules out a whole block of
+unmatched twins. This is polynomial on every host and needs no outside
+library. The oracle is exact, so the matching search is a plain loop
+with no backtracking: it takes, once per pair, the lex-least pair whose
+removal leaves enough disjoint edges for the rest.
 """
 
 from __future__ import annotations
@@ -186,6 +197,9 @@ def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
         return None
     if sum(map(int.bit_count, adj)) // 2 < m - 1:
         return None
+    # a path on m vertices holds m // 2 disjoint edges
+    if not _matching_at_least(adj, active, m // 2):
+        return None
     # the starts are the candidates of a virtual vertex n joined to every
     # active vertex; one memo serves them all, as the mask holds the start
     out: list[int] = []
@@ -197,6 +211,10 @@ def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
 def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[int]]:
     active = [v for v in range(n) if adj[v].bit_count() >= 2]
     if len(active) < length:
+        return None
+    # a cycle of this length holds length // 2 disjoint edges, all between
+    # vertices with two class neighbors
+    if not _matching_at_least(adj, sum(1 << v for v in active), length // 2):
         return None
     tried_starts: list[tuple[int, int]] = []
     out: list[int] = []
@@ -287,7 +305,20 @@ def _matching_at_least(
     adj: list[int], free: int, r: int, out: Optional[list[int]] = None
 ) -> bool:
     """Does the class restricted to `free` contain r disjoint edges? On a
-    hit, the pairs of such a matching are appended to `out` when given."""
+    hit, the pairs of such a matching are appended to `out` when given.
+
+    A root whose neighborhood within `free` equals that of a root that
+    already failed is skipped, and fails too:
+
+    * unmatched vertices are never adjacent, because greedy is maximal
+      and augmenting only grows the matched set; so neither root lies in
+      the other's neighborhood.
+    * a failed root x never gets an augmenting path later and never
+      becomes matched (Edmonds).
+    * an augmenting path from its twin y becomes one from x: swap y for
+      x, whose neighborhood holds the path's second vertex, or reverse
+      the path if x is its far end.
+    """
     if r <= 0:
         return True
     if free.bit_count() < 2 * r:
@@ -316,13 +347,21 @@ def _matching_at_least(
     roots = touched & free & ~matched
     # an augmenting path joins two unmatched vertices, and a root without
     # one never gets one later (Edmonds): each missing edge needs two
-    # untried roots
+    # untried roots. The neighborhoods of the failed roots rule out their
+    # twins.
+    dead: set[int] = set()
     while 0 < 2 * r - len(mate) <= roots.bit_count():
         rbit = roots & -roots
         roots ^= rbit
-        end = _augment(adj, free, mate, rbit.bit_length() - 1)
+        root = rbit.bit_length() - 1
+        nbrs = adj[root] & free
+        if nbrs in dead:
+            continue
+        end = _augment(adj, free, mate, root)
         if end >= 0:
             roots &= ~(1 << end)
+        else:
+            dead.add(nbrs)
     if len(mate) < 2 * r:
         return False
     if out is not None:

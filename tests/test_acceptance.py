@@ -8,9 +8,9 @@ desk-scale exhaustive search result.
 
 import random
 import time
-from itertools import combinations_with_replacement
 
 from brute import brute_find_sequence
+from test_construction import family_specs
 from gallai_ramsey import (
     ALL_FORCED,
     BAD_COLORING,
@@ -73,21 +73,11 @@ def test_criterion_1_formula_suite():
     report(1, "formula suite", problems, time.perf_counter() - t0, 1.0)
 
 
-def all_specs(max_k: int = 6):
-    for n in (3, 4):
-        for k in range(2, max_k + 1):
-            for combo in combinations_with_replacement(range(n), k):
-                idx = tuple(sorted(combo, reverse=True))
-                heads = ("cycle", "path") if idx[0] == n - 1 else ("cycle",)
-                for head in heads:
-                    yield sorted_spec(idx, n=n, k=k, head=head)
-
-
 def test_criterion_2_lower_bound_suite():
     t0 = time.perf_counter()
     problems = []
     count = 0
-    for spec in all_specs():
+    for spec in family_specs((3, 4), range(2, 7)):
         witness = build_lower_bound_coloring(spec)
         if is_gallai(witness) is not True:
             problems.append(f"{spec.describe()}: rainbow triangle")

@@ -11,7 +11,19 @@ from gallai_ramsey import (
     sorted_spec,
     verify_lower,
 )
+from gallai_ramsey import search
 from gallai_ramsey.construction import layer_sizes, layers
+
+
+def family_specs(ns, ks):
+    """Every sorted family spec for the given n and k, under both heads
+    when the largest index is n - 1."""
+    for n in ns:
+        for k in ks:
+            for combo in combinations_with_replacement(range(n), k):
+                idx = sorted(combo, reverse=True)
+                for head in ("cycle", "path") if idx[0] == n - 1 else ("cycle",):
+                    yield sorted_spec(idx, n=n, k=k, head=head)
 
 
 def test_two_path_targets_structure():
@@ -104,3 +116,36 @@ def test_unsorted_layers():
     assert layers(spec) == [range(5, 6), range(0, 5), range(6, 8)]
     c = build_lower_bound_coloring(spec)
     assert c.color(0, 5) == 1 and c.color(4, 6) == 3 and c.color(5, 7) == 3
+
+
+def test_matching_cut_settles_every_construction(monkeypatch):
+    # Color j's edges all touch its block of i_j vertices, so its class
+    # holds at most i_j disjoint edges, one fewer than P_{2 i_j + 3}
+    # needs; the head class has too few vertices for its target. So the
+    # cuts before the search prove every class free of its target, and
+    # the path and cycle kernel never runs. Without the matching cut
+    # these 465 specs take 13,300 kernel calls.
+    calls = 0
+    kernel = search._reach_end
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(search, "_reach_end", counted)
+    specs = list(family_specs((3, 4), range(2, 7)))
+    assert len(specs) == 465
+    for spec in specs:
+        assert verify_lower(spec).ok, spec.describe()
+    assert calls == 0
+
+
+def test_larger_families_avoid_their_targets():
+    # the 2,148 family specs with n = 5, 6, 7 and 2 to 5 colors, on up to
+    # 31 vertices
+    count = 0
+    for spec in family_specs((5, 6, 7), range(2, 6)):
+        assert verify_lower(spec).ok, spec.describe()
+        count += 1
+    assert count == 2148

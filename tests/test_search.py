@@ -9,6 +9,7 @@ from gallai_ramsey import (
     ALL_FORCED,
     EdgeColoring,
     SpecLengthMismatchError,
+    build_lower_bound_coloring,
     contains_required,
     decide_upper,
     even_cycle,
@@ -19,6 +20,7 @@ from gallai_ramsey import (
     parse_target_list,
     path,
     random_gallai,
+    sorted_spec,
     verify_embedding,
 )
 from gallai_ramsey import search
@@ -398,6 +400,63 @@ def test_cycle_phase_counts_lower_vertices_as_used():
     assert got.vertices == (2, 3, 4, 5, 6, 7)
 
 
+def split_class(b, s, extra=(), label=None):
+    """2-coloring whose color 1 is a class of the layered construction: s
+    independent vertices, then a clique on b vertices joined to them, then
+    two isolated vertices; `extra` adds edges to color 1, and vertex x is
+    renamed label[x] when a labelling is given."""
+    n = s + b + 2
+    label = label or list(range(n))
+    edges = {(u, v) for v in range(s, s + b) for u in range(v)} | set(extra)
+    edges = {tuple(sorted((label[u], label[v]))) for u, v in edges}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return new_coloring(n, 2, {e: 1 if e in edges else 2 for e in pairs})
+
+
+def test_matching_cut_on_split_classes(monkeypatch):
+    # Every edge of a split class touches its clique, so it holds at most
+    # b disjoint edges, and the cut rules out P_{2b+2}, P_{2b+3} and
+    # C_{2b+2} before the search. P_{2b+1} and C_{2b} fit exactly when
+    # there are enough independent vertices. One more edge between two
+    # independent or two isolated vertices raises the matching number to
+    # b + 1, so the cut passes P_{2b+2} and the search decides. The oracle
+    # walks every path: at b = 4 it takes 0.5-3.7 s a host for s = 5-7,
+    # so there s stops at 4.
+    calls = 0
+    kernel = search._reach_end
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(search, "_reach_end", counted)
+    rng = random.Random(31)
+    searched = {True: 0, False: 0}
+    for b in range(1, 5):
+        for s in range(8 if b < 4 else 5):
+            n = s + b + 2
+            shapes = [path(m) for m in (2 * b + 1, 2 * b + 2, 2 * b + 3)]
+            shapes += [even_cycle(l) for l in (2 * b, 2 * b + 2) if l >= 4]
+            raised = [(n - 2, n - 1)] + ([(0, 1)] if s >= 2 else [])
+            for extra in [()] + [(e,) for e in raised]:
+                for label in (None, rng.sample(range(n), n)):
+                    c = split_class(b, s, extra, label)
+                    for t in shapes:
+                        calls = 0
+                        got = find_mono(c, 1, t)
+                        want = brute_find_sequence(c, 1, t)
+                        assert (got and got.vertices) == want, (b, s, extra, label, t.name)
+                        if t.num_vertices > 2 * b + 1 and not extra:
+                            assert calls == 0, (b, s, label, t.name)
+                        if t == path(2 * b + 2) and extra and s >= b + 2:
+                            assert calls > 0, (b, s, extra, label)
+                            searched[want is not None] += 1
+    # the search found P_{2b+2} on some raised classes and ruled it out
+    # on others
+    assert searched[True] and searched[False]
+
+
 def test_path_monotonicity():
     rng = random.Random(13)
     for trial in range(40):
@@ -508,6 +567,72 @@ def test_matching_oracle_agrees_with_blossom():
             assert best == hubs
             for r in (hubs, hubs + 1):
                 assert _matching_at_least(adj, full, r) == (r <= best)
+
+
+def test_root_skip_agrees_with_blossom(monkeypatch):
+    # Hosts full of unmatched roots that are twins within `free`: a root
+    # whose neighborhood equals a failed root's is skipped. Checked at
+    # r = nu and r = nu + 1, on all vertices and on random vertex sets.
+    import networkx as nx
+
+    rng = random.Random(37)
+
+    def edges_of(adj):
+        return [(a, b) for a in range(len(adj)) for b in range(a + 1, len(adj)) if adj[a] >> b & 1]
+
+    def relabeled(edges, n):
+        label = rng.sample(range(n), n)
+        adj = [0] * n
+        for u, v in edges:
+            adj[label[u]] |= 1 << label[v]
+            adj[label[v]] |= 1 << label[u]
+        return adj
+
+    hosts = []
+    # K_{b,s} with s much larger than b, hubs first and relabeled
+    for b, s in [(1, 9), (2, 12), (3, 20), (4, 40), (6, 60)]:
+        hosts.append([((1 << s) - 1) << b] * b + [(1 << b) - 1] * s)
+        hosts.append(relabeled([(h, b + w) for h in range(b) for w in range(s)], b + s))
+    # the classes of relabeled constructions
+    for n, idx in [(3, (2, 2, 1)), (4, (3, 2, 2, 1)), (5, (4, 3, 2, 1)), (6, (5, 5, 3)), (7, (6, 4, 4, 2))]:
+        for head in ("cycle", "path"):
+            c = build_lower_bound_coloring(sorted_spec(idx, n=n, head=head))
+            for adj in c.color_adjacency().values():
+                hosts.append(relabeled(edges_of(adj), c.n))
+    # hubs with pendant twins: each leaf hangs off one or two random hubs,
+    # and some hubs are joined
+    for trial in range(40):
+        hubs, leaves = rng.randint(2, 6), rng.randint(6, 30)
+        edges = {(h, g) for h in range(hubs) for g in range(h + 1, hubs) if rng.random() < 0.3}
+        for w in range(hubs, hubs + leaves):
+            edges |= {(h, w) for h in rng.sample(range(hubs), rng.randint(1, 2))}
+        hosts.append(relabeled(edges, hubs + leaves))
+    for adj in hosts:
+        n = len(adj)
+        for free in [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(4)]:
+            g = nx.Graph((a, b) for a, b in edges_of(adj) if free >> a & free >> b & 1)
+            nu = len(nx.max_weight_matching(g, maxcardinality=True))
+            for r in (nu, nu + 1):
+                out = []
+                assert _matching_at_least(adj, free, r, out) == (r == nu), (adj, free, r)
+                if r == nu:
+                    pairs = list(zip(out[::2], out[1::2]))
+                    assert len(pairs) == nu == len({*out}) // 2
+                    assert all(adj[a] >> b & 1 and free >> a & free >> b & 1 for a, b in pairs)
+    # on K_{b,s} greedy matches every hub, and the s - b unmatched leaves
+    # are twins: one search for an augmenting path rules them all out
+    calls = 0
+    augment = search._augment
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return augment(*args)
+
+    monkeypatch.setattr(search, "_augment", counted)
+    adj = relabeled([(h, 4 + w) for h in range(4) for w in range(40)], 44)
+    assert not _matching_at_least(adj, (1 << 44) - 1, 5)
+    assert calls == 1
 
 
 def greedy_short_host(n):
