@@ -15,11 +15,19 @@ The per-edge work of the core runs at C speed where it can:
 - the class adjacency of a host with many vertices per used color
   comes from one n x n byte matrix of color codes, turned into each
   color's rows by one translate and one int(row, 2) per vertex (see
-  _rows_from_bytes); small hosts and hosts with many colors keep the
-  loop over pairs, which is faster there;
-- read_coloring parses and range-checks a palette color's canonical
-  token by one dict lookup, and write_coloring names each used color
-  once and joins its rows from slices of one token list;
+  _rows_from_bytes); colors below 256 are their own codes, so
+  bytes(colors) is the flat array. Small hosts and hosts with many
+  colors keep the loop over pairs, which is faster there;
+- read_coloring reads an ASCII text without comments whose n and k
+  are digits and whose colors are palette colors of one digit each
+  (so every text write_coloring makes for a palette of at most nine
+  colors) by three translates of the whole body (see _read_digits).
+  Any other text goes to the token reader, which parses and
+  range-checks a palette color's canonical token by one dict lookup
+  and reports every error;
+- write_coloring puts one-digit colors into every other byte of one
+  buffer of blanks, by one extended slice; other colors are named once
+  each and their rows joined from slices of one token list;
 - random_gallai writes each block pair with one slice assignment per
   vertex of the first block, since every block is a vertex range.
 Everything sized by the palette follows the colors used, not k: the
@@ -31,7 +39,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 
 class MissingEdgeError(ValueError):
@@ -180,17 +188,23 @@ def _rows_from_pairs(n: int, colors: Sequence[int], used: Sequence[int]) -> dict
 def _rows_from_bytes(n: int, colors: Sequence[int], used: Sequence[int]) -> dict[int, list[int]]:
     """The rows of each used color, from one byte matrix.
 
-    The i-th of the used colors (at most 255) has byte code i. Cell
-    (u, v) of an n x n bytearray holds the code of c(u, v) and the
-    diagonal holds 0: the slice of row u in the flat array goes into
-    row u right of the diagonal and, by one step-n extended slice, into
-    column u below it. Reversed, the matrix holds vertex v's row at row
-    n-1-v with vertex w at column n-1-w, so once a translate maps one
-    code to "1" and every other byte to "0", int(row, 2) of that row
-    has bit w set exactly where c(v, w) is that color.
+    A color below 256 is its own byte code, so bytes(colors) is the flat
+    array; past that, the i-th of the used colors (at most 255 of them)
+    has code i. Cell (u, v) of an n x n bytearray holds the code of
+    c(u, v) and the diagonal holds 0: the slice of row u in the flat
+    array goes into row u right of the diagonal and, by one step-n
+    extended slice, into column u below it. Reversed, the matrix holds
+    vertex v's row at row n-1-v with vertex w at column n-1-w, so once
+    a translate maps one code to "1" and every other byte to "0",
+    int(row, 2) of that row has bit w set exactly where c(v, w) is that
+    color.
     """
-    codes = range(1, len(used) + 1)
-    flat = bytes(map(dict(zip(used, codes)).__getitem__, colors))
+    if used[-1] < 256:
+        codes = used
+        flat = bytes(colors)
+    else:
+        codes = range(1, len(used) + 1)
+        flat = bytes(map(dict(zip(used, codes)).__getitem__, colors))
     size = n * n
     matrix = bytearray(size)
     idx = 0
@@ -375,6 +389,12 @@ def random_gallai(n: int, k: int, seed: int) -> EdgeColoring:
 
 
 _TOKEN = re.compile(r"\S+")
+# the ASCII bytes at which str.split() splits
+_BLANKS = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_NONZERO = b"123456789"
+_SHAPE = bytes.maketrans(_NONZERO, b"d" * 9)
+_FROM_DIGIT = bytes.maketrans(_NONZERO, bytes(range(1, 10)))
+_TO_DIGIT = bytes.maketrans(bytes(range(1, 10)), _NONZERO)
 
 
 def read_coloring(text: str) -> EdgeColoring:
@@ -384,6 +404,34 @@ def read_coloring(text: str) -> EdgeColoring:
     lexicographic pair order, whitespace-separated with any line layout.
     Lines starting with '#' (and trailing '#' comments) are ignored.
     """
+    return _read_digits(text) or _read_tokens(text)
+
+
+def _read_digits(text: str) -> Optional[EdgeColoring]:
+    """The coloring of an ASCII text whose n and k are digits and whose
+    colors are palette colors of one digit each, by a few bytes
+    operations over the whole body; None for any other text (a '#'
+    comment among them), which _read_tokens reads and reports on."""
+    head = text.split(None, 2)
+    if len(head) < 3 or not (head[0] + head[1]).isdigit() or not text.isascii():
+        return None
+    try:
+        n, k = int(head[0]), int(head[1])
+    except ValueError:  # past the interpreter's limit on int() digits
+        return None
+    raw = head[2].encode()
+    # only blanks and the digits of palette colors, never two digits in
+    # a row; then one byte per color is left once the blanks are gone
+    if raw.translate(None, _BLANKS + _NONZERO[:k]) or b"dd" in raw.translate(_SHAPE):
+        return None
+    colors = raw.translate(_FROM_DIGIT, _BLANKS)
+    if len(colors) != n * (n - 1) // 2:
+        return None
+    return EdgeColoring(n, k, colors)
+
+
+def _read_tokens(text: str) -> EdgeColoring:
+    """read_coloring for any text, one token at a time."""
     lines = text.splitlines()
     bodies = [line.split("#", 1)[0] for line in lines]
     tokens = " ".join(bodies).split()
@@ -438,8 +486,21 @@ def read_coloring(text: str) -> EdgeColoring:
 
 
 def write_coloring(c: EdgeColoring) -> str:
-    """Serialize to the canonical text layout: one row per first vertex."""
+    """Serialize to the canonical text layout: one row per first vertex.
+
+    With one-digit colors every token is one byte followed by one blank,
+    so the digits fill every other byte of one buffer and each row ends
+    at a newline.
+    """
     n = c.n
+    if c._used[-1] <= 9:
+        body = bytearray(b" ") * (2 * len(c.colors))
+        body[::2] = bytes(c.colors).translate(_TO_DIGIT)
+        end = 0
+        for length in range(n - 1, 0, -1):
+            end += 2 * length
+            body[end - 1] = ord("\n")
+        return f"{n} {c.k}\n{body.decode()}"
     names = {a: str(a) for a in c._used}
     tokens = list(map(names.__getitem__, c.colors))
     lines = [f"{n} {c.k}"]

@@ -404,6 +404,9 @@ def test_color_adjacency_matches_pair_oracle():
     hosts.append(random_gallai(320, 1000, 1))
     # colors above 255 on a host the byte build takes
     hosts.append(_random_coloring(60, 1000, rng, (300, 999)))
+    # the largest color that is its own byte code, and the least that is not
+    hosts.append(_random_coloring(60, 256, rng, (1, 128, 255)))
+    hosts.append(_random_coloring(60, 256, rng, (2, 255, 256)))
     for c in hosts:
         want = brute_adjacency(c)
         assert c.color_adjacency() == want, (c.n, c.k)
@@ -498,6 +501,12 @@ def test_write_coloring_matches_per_row_reference():
     rng = random.Random(31)
     hosts = [random_gallai(n, k, rng.randrange(2 ** 32)) for n, k in HOST_SIZES]
     hosts += [random_gallai(40, 1000, 3), EdgeColoring(2, 7, [7])]
+    # one-digit colors take the byte path, any color of two digits the
+    # token path
+    for n in range(2, 41):
+        hosts.append(_random_coloring(n, n % 12 + 1, rng))
+        for used in ((9,), (9, 10), (1, 10), (3, 9)):
+            hosts.append(_random_coloring(n, 12, rng, used))
     for c in hosts:
         text = write_coloring(c)
         assert text == _write_per_row(c)
@@ -523,3 +532,95 @@ def test_text_format_wide_palette_is_fast():
     assert c.colors == (1, 2, 10**9)
     assert write_coloring(c) == "3 1000000000\n1 2\n1000000000\n"
     assert time.perf_counter() - start < 1.0
+
+
+def _read_both(monkeypatch, text):
+    """read_coloring's coloring or error, and the token reader's."""
+
+    def outcome():
+        try:
+            return read_coloring(text)
+        except ParseError as err:
+            return type(err), str(err), err.line, err.column
+
+    fast = outcome()
+    with monkeypatch.context() as m:
+        m.setattr(coloring, "_read_digits", lambda text: None)
+        return fast, outcome()
+
+
+def _perturbed(rng):
+    """A random_gallai text with one color token set to 0, to k + 1 or
+    to two digits, deleted or duplicated."""
+    n, k = rng.randint(2, 12), rng.randint(1, 10)
+    lines = write_coloring(random_gallai(n, k, rng.randrange(2 ** 32))).split("\n")
+    row = rng.randrange(1, n)
+    tokens = lines[row].split(" ")
+    i = rng.randrange(len(tokens))
+    op = rng.randrange(5)
+    if op < 3:
+        tokens[i] = ("0", str(k + 1), str(rng.randint(10, 99)))[op]
+    elif op == 3:
+        del tokens[i]
+    else:
+        tokens.insert(i, tokens[i])
+    lines[row] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+READ_CORPUS = [
+    # layout
+    "3 2\r\n1 2\r\n1\r\n",
+    "3\t2\n1\t2\t1",
+    "3 2\x0b1 2\x0c1\n",
+    "3 2\n1\x1c2\x1d1\x1e\x1f",
+    "3 2\n1\xa02 1",
+    "3\xa02\n1 2 1",
+    "3 2\n1\x00 2 1",
+    "3 2\n1 \ud800 1",
+    "3 2\n1 2 1\x00",
+    # header
+    "+3 2\n1 2 1",
+    "02 2\n1 2 1",
+    "3 02\n1 2 1",
+    "\u0663 2\n1 2 1",
+    "3 \u00b2\n1 2 1",
+    "3\n2\n1 2 1",
+    "3 2 1 2 1",
+    "1" * 5000 + " 2\n1",
+    "3 " + "9" * 5000 + "\n1 2 1",
+    "",
+    "3",
+    "3 2\n",
+    "1 2\n1",
+    "3 0\n1 1 1",
+    # body
+    "3 2\n1 \u0661 1",
+    "3 2\n1 2 1 # c",
+    "# c\n3 2\n1 2 1",
+    "3 2\n1 0 1",
+    "3 2\n1 3 1",
+    "3 2\n1 2",
+    "3 2\n1 2 1 1",
+    "3 2\n12 1",
+    "3 9\n9 1 5\n",
+    "3 10\n9 1 5\n",
+    "3 10\n10 1 5\n",
+]
+
+
+def test_read_coloring_byte_path_matches_token_reader(monkeypatch):
+    # the byte path gives the token reader's coloring on every text it
+    # takes, and hands every other text over, so each error, with its
+    # line and column, stays the token reader's
+    rng = random.Random(37)
+    texts = READ_CORPUS + [_perturbed(rng) for _ in range(1000)]
+    for text in texts:
+        fast, slow = _read_both(monkeypatch, text)
+        assert fast == slow, text[:80]
+    # canonical texts of up to nine colors take the byte path
+    for k in range(1, 10):
+        text = write_coloring(random_gallai(30, k, k))
+        assert coloring._read_digits(text) == read_coloring(text)
+    assert coloring._read_digits("3 10\n9 1 5\n") == EdgeColoring(3, 10, [9, 1, 5])
+    assert coloring._read_digits("3 10\n10 1 5\n") is None
