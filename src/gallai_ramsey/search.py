@@ -210,10 +210,9 @@ def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
 
 def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[int]]:
     active = [v for v in range(n) if adj[v].bit_count() >= 2]
-    if len(active) < length:
-        return None
     # a cycle of this length holds length // 2 disjoint edges, all between
-    # vertices with two class neighbors
+    # vertices with two class neighbors; fewer than `length` such vertices
+    # fail the matching check's first test
     if not _matching_at_least(adj, sum(1 << v for v in active), length // 2):
         return None
     tried_starts: list[tuple[int, int]] = []

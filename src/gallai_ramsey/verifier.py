@@ -6,7 +6,11 @@ pair order, colors ascending) and prunes:
 
 * assignments closing a rainbow triangle (the coloring must stay Gallai);
   one mask per edge holds the vertices joined to its ends in two
-  different colors, and a color is pruned unless it is one of the two,
+  different colors, and a color is pruned unless it is one of the two.
+  At edge (u, v), u < v, the colored edges are the earlier ones of the
+  lex order, so the vertices joined to both ends are exactly those
+  below u: the mask starts from them and drops each w whose two edges
+  share a color,
 * assignments completing the new color's monochromatic target; the
   check is incremental, restricted to copies through the new edge. Its
   key is the new color's class as a bitmask over edge indices with the
@@ -115,7 +119,6 @@ class _Search:
         self.adj = [[0] * n for _ in range(self.k + 1)]
         # the rows of colors 1..k; row 0 stays empty
         self.color_rows = self.adj[1:]
-        self.assigned_nb = [0] * n
         self.assignment = [0] * self.m
         # per color: its class as a bitmask over edge indices
         self.cls = [0] * (self.k + 1)
@@ -181,15 +184,18 @@ class _Search:
         once more than `budget` nodes have been tried, yield one last
         item, None with the final counters, and stop; nodes > budget
         tells a budget stop. A leaf at depth m is a witness; a caller
-        that stops at a leaf already holds its counters. Whatever an
-        earlier run left, a stop at a witness or at the budget
-        included, is cleared first. The memos and the caches stay: a key
-        fixes the class graph and the new edge, and a cache entry states
-        a fact about an edge set, so neither depends on the prefix.
+        that stops at a leaf already holds its counters. The class rows
+        and class masks an earlier run left, a stop at a witness or at
+        the budget included, are cleared first. The memos and the caches
+        stay: a key fixes the class graph and the new edge, and a cache
+        entry states a fact about an edge set, so neither depends on the
+        prefix.
 
         One loop runs the whole subtree. `assignment` is its stack: a
         depth's entry is the color it tries, and `rainbows` keeps the
-        depth's rainbow mask.
+        depth's rainbow mask. The stack needs no clearing: the prefix
+        writes the entries below it, and a depth writes its own before
+        any read, so no entry is read before this run has written it.
 
         The key of a through-edge check is the class mask with the new
         edge's bit added, its highest bit. The packed copy cache holds the
@@ -212,7 +218,6 @@ class _Search:
         edge_consts = self.edge_consts
         adj = self.adj
         color_rows = self.color_rows
-        nb = self.assigned_nb
         cls = self.cls
         assignment = self.assignment
         rainbows = self.rainbows
@@ -223,15 +228,11 @@ class _Search:
         # `color_rows` holds the rows of `adj`, so they are cleared in place
         for row in adj:
             row[:] = [0] * len(row)
-        nb[:] = [0] * len(nb)
-        assignment[:] = [0] * self.m
         cls[:] = [0] * (k + 1)
         for idx, col in enumerate(prefix):
             u, v, ubit, vbit, ebit, *_ = edge_consts[idx]
             adj[col][u] |= vbit
             adj[col][v] |= ubit
-            nb[u] |= vbit
-            nb[v] |= ubit
             cls[col] |= ebit
             assignment[idx] = col
         idx = top = len(prefix)
@@ -240,23 +241,19 @@ class _Search:
             # enter depth idx
             u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
             # w joined to u and v in two different colors closes a rainbow
-            # triangle unless the new edge takes one of those two colors
+            # triangle unless the new edge takes one of those two colors;
+            # the colored edges are those before (u, v) in the lex order,
+            # so w is joined to both ends exactly when w < u
             rainbow = 0
             if k >= 3:
-                rainbow = nb[u] & nb[v]
+                rainbow = ubit - 1
                 for row in color_rows:
                     rainbow &= ~(row[u] & row[v])
             rainbows[idx] = rainbow
-            nb[u] |= vbit
-            nb[v] |= ubit
             col = 0
             while True:
                 if col == k:
-                    # every color tried: undo this depth, then the color
-                    # its parent tried
-                    nb[u] ^= vbit
-                    nb[v] ^= ubit
-                    assignment[idx] = 0
+                    # every color tried: undo the color the parent tried
                     if idx == top:
                         stats = SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry)
                         yield None, stats

@@ -202,7 +202,7 @@ def test_memo_entries_match_direct_checks(prefixes):
 
 def decode(search, mask):
     """The class graph, as bitmask adjacency, of a mask over edge indices."""
-    rows = [0] * len(search.assigned_nb)
+    rows = [0] * len(search.bits)
     for idx, (a, b) in enumerate(search.edges):
         if mask >> idx & 1:
             rows[a] |= 1 << b
