@@ -1,14 +1,15 @@
 """Tables of the known closed-form values.
 
 GR_k(H) is the least N such that every Gallai k-coloring of K_N has a
-monochromatic H in some color. For paths and even cycles up to C8 the
-value is linear in k; for odd cycles it is exponential; outside the
-settled families only a lower/upper bound pair is available.
+monochromatic H in some color. For paths and even cycles up to C8 and
+for every matching the value is linear in k; for odd cycles it is
+exponential; outside the settled families only a lower/upper bound
+pair is available.
 """
 
 from gallai_ramsey import classical_ramsey, known_gr, predicted_gr, sorted_spec
 
-FAMILIES = ["P3", "P4", "P5", "P6", "P7", "P8", "P9", "C4", "C6", "C8", "M3", "M4", "K3", "C5", "C7"]
+FAMILIES = ["P3", "P4", "P5", "P6", "P7", "P8", "P9", "C4", "C6", "C8", "M1", "M2", "M3", "M4", "M5", "K3", "C5", "C7"]
 KS = range(1, 7)
 
 if __name__ == "__main__":
@@ -23,7 +24,7 @@ if __name__ == "__main__":
 
     print()
     print("bounds where only the construction and the general upper bound apply:")
-    for name in ("C10", "P10", "M5"):
+    for name in ("C10", "P10", "P11"):
         lo, hi = known_gr(name, 4)
         print(f"  {lo} <= GR_4({name}) <= {hi}")
 

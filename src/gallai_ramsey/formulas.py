@@ -12,7 +12,9 @@ together with their indices leaves the predicted value unchanged.
 known_gr holds one rule per family of named targets. With h = m // 2
 for P_m and C_m, and h = s for the matching M_s, the construction gives
 GR_k >= (h-1)k + h + 1, plus one for paths on an odd number of vertices.
-The rule is exact through P9, C8 and M4 (C4 alone is k + 4 for k >= 2,
+For matchings the rule is exact at every size: Cockayne and Lorimer's
+k-color Ramsey number of M_s is that value, and GR_k <= R_k. For paths
+and cycles it is exact through P9 and C8 (C4 alone is k + 4 for k >= 2,
 and 4 for one color), and at every size for k <= 2, where it is |H| and
 R(H, H); past those it is the lower bound, paired with the general upper
 bound (h-1)k + 3h.
@@ -201,16 +203,19 @@ def known_gr(name: str, k: int) -> Union[int, Bounds]:
 
     Paths, even cycles and matchings follow one rule each: with h = m // 2
     for P_m and C_m and h = s for M_s, the value is (h-1)k + h + 1, plus
-    one for odd paths, exact through P9, C8 and M4 (C4 is k + 4 for
-    k >= 2 and 4 for k = 1, where K_4 is itself a C4). It is exact at
-    every size for k <= 2 too: one color on K_|H| is itself a copy of H,
+    one for odd paths. For every matching M_s, s >= 1, and every k it is
+    exact: Cockayne & Lorimer (The Ramsey number for stripes, J. Austral.
+    Math. Soc. 19, 1975) give R_k(M_s) = (s-1)k + s + 1, the layered
+    coloring on one vertex fewer is Gallai and holds no M_s, and
+    GR_k <= R_k. For paths and cycles it is exact through P9 and C8 (C4
+    is k + 4 for k >= 2 and 4 for k = 1, where K_4 is itself a C4), and
+    at every size for k <= 2: one color on K_|H| is itself a copy of H,
     and two colors give R(H, H), 3h - 1 plus one for odd paths
     (Gerencser & Gyarfas 1967 for paths, Faudree & Schelp 1974 and
-    Rosta 1973 for cycles, Cockayne & Lorimer 1975 for matchings). Past
-    those it is a (lower, upper) pair: that construction lower bound and
-    the general upper bound (h-1)k + 3h. Odd cycles through C15 and K3
-    have their own forms. Raises OutOfHypothesesError for targets no
-    cited statement covers.
+    Rosta 1973 for cycles). Past those it is a (lower, upper) pair: that
+    construction lower bound and the general upper bound (h-1)k + 3h.
+    Odd cycles through C15 and K3 have their own forms. Raises
+    OutOfHypothesesError for targets no cited statement covers.
     """
     if k < 1:
         raise OutOfHypothesesError(f"need k >= 1, got {k}")
@@ -246,10 +251,9 @@ def known_gr(name: str, k: int) -> Union[int, Bounds]:
         half, exact_through = size // 2, 8
         lower = (half - 1) * k + half + 1
     else:
-        if size < 3:
+        if size < 1:
             raise OutOfHypothesesError(f"no closed form for M{size}")
-        half, exact_through = size, 4
-        lower = (size - 1) * k + size + 1
+        return (size - 1) * k + size + 1
     if size <= exact_through or k <= 2:
         return lower
     return lower, (half - 1) * k + 3 * half

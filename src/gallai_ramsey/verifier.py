@@ -14,17 +14,25 @@ pair order, colors ascending) and prunes:
 * assignments completing the new color's monochromatic target; the
   check is incremental, restricted to copies through the new edge. Its
   key is the new color's class as a bitmask over edge indices with the
-  new edge added. With three or more colors its result is memoized per
-  target under that key, since the class recurs while the other colors
-  vary; with two colors the class at an edge fixes every earlier edge,
-  so a key never recurs. Behind the memo, two packed caches per target
-  and edge answer most checks without a search. The answer is monotone
-  in the edge set: a class that holds a copy through the edge passes it
-  on to every class containing it, and a class without one to every
-  class inside it. So the copy cache answers yes when the edge mask of
-  a copy found earlier through the same edge lies inside the key, and
-  the no-copy cache answers no when the key lies inside a key that was
-  answered no. Both rules are exact. The search loop asks the memo,
+  new edge added. For a matching the key keeps only the class edges
+  that avoid both ends of the new edge: a matching M_s through (u, v)
+  is that edge plus s - 1 pairs that avoid u and v, so those edges
+  alone fix the answer. With three or more colors the result is
+  memoized per target under its key, since the class recurs while the
+  other colors vary. With two colors the class at an edge fixes every
+  earlier edge, so a whole-class key never recurs; a cut matching key
+  does, but the caches below answer a repeat while its entry is held,
+  and the memo stays at three colors and more. Behind the memo, two
+  packed caches per target and edge answer most checks without a
+  search. The answer is monotone in the edge set: a class that holds a
+  copy through the edge passes it on to every class containing it, and
+  a class without one to every class inside it. So the copy cache
+  answers yes when the edge mask of a copy found earlier through the
+  same edge lies inside the key, and the no-copy cache answers no when
+  the key lies inside a key that was answered no. Both rules are exact,
+  for cut keys too: a copy of a matching holds the new edge and pairs
+  that avoid its ends, so its mask lies inside the class exactly when
+  it lies inside the cut key. The search loop asks the memo,
   then the copy cache, then the no-copy cache, and only when none of
   them answers does it run the search module's kernel for the target's
   kind and enter its answer. The kernels share one signature and always
@@ -76,7 +84,8 @@ from .targets import CYCLE, MATCHING, PATH, Embedding, TargetGraph, parse_target
 DEFAULT_BUDGET = 10 ** 9
 SPLIT_DEPTH = 6
 # a through-edge memo is cleared when it holds this many results; kept
-# whole, M3,M3,M3@10 stores 35.6k of them and peak memory grows by a fifth
+# whole, C4,C4,C4@7 stores 24.8k of them and M3,M3,M2@9 25.2k, and the
+# peak memory of either run grows from 16.5 to 18.9 MB
 MEMO_SIZE = 4096
 # the copy and the no-copy cache of a through-edge check keep this many
 # masks per edge, the newest first
@@ -147,9 +156,15 @@ class _Search:
             guard = ones << width - 1
             self.edge_consts.append((u, v, 1 << u, 1 << v, 1 << idx, ones, guard - ones, guard))
             empty_copies.append(ones << idx + 1)
+        # per edge index: the masks of the earlier edges, and of those
+        # among them that avoid both ends of the edge (see leaves)
+        earlier = [(1 << idx) - 1 for idx in range(self.m)]
+        avoiding = [
+            sum(1 << j for j, (a, b) in enumerate(self.edges[:idx]) if not {a, b} & {u, v})
+            for idx, (u, v) in enumerate(self.edges)
+        ]
         # per target within K_n: the copy and no-copy caches per edge
-        # index, and from three colors on (a two-color key never recurs)
-        # the memo
+        # index, and from three colors on the memo
         self.caches: dict[TargetGraph, tuple[list[int], list[int]]] = {}
         self.memos: dict[TargetGraph, dict[int, bool]] = {}
         # looked up here, not at import, so that a wrapper set on this
@@ -169,7 +184,8 @@ class _Search:
             misses = [0] * self.m
             self.caches[t] = (copies, misses)
             memo = self.memos.setdefault(t, {}) if self.k >= 3 else None
-            checks[t] = (kernels[t.kind], t.size, t.copy_edges, copies, misses, memo)
+            keep = avoiding if t.kind == MATCHING else earlier
+            checks[t] = (kernels[t.kind], t.size, t.copy_edges, keep, copies, misses, memo)
         self.checks = [None] + [checks.get(t) for t in targets]
         # the vertex rule compares edges (0,1) and (0,2) of the lex order;
         # at -1, without symmetry, it never fires
@@ -197,8 +213,14 @@ class _Search:
         writes the entries below it, and a depth writes its own before
         any read, so no entry is read before this run has written it.
 
-        The key of a through-edge check is the class mask with the new
-        edge's bit added, its highest bit. The packed copy cache holds the
+        The key of a through-edge check is the class mask cut by the
+        check's `keep` mask of the edge, with the new edge's bit added,
+        its highest bit. For a matching, `keep` holds the earlier edges
+        that avoid both ends of the edge; for a path or a cycle it holds
+        every earlier edge, so the key is the whole class. The new edge
+        enters its class rows only where they are read: just before a
+        kernel call, which takes it out again on a copy, and when its
+        color is taken. The packed copy cache holds the
         edge masks of the copies found through that edge, read off by
         `copy_edges`, and the no-copy cache the keys at which there was
         none. At edge idx each cache is one int of CACHE_SIZE fields,
@@ -285,12 +307,10 @@ class _Search:
                 if rainbow and rainbow & ~(row[u] | row[v]):
                     prunes_rainbow += 1
                     continue
-                row[u] |= vbit
-                row[v] |= ubit
                 check = checks[col]
                 if check is not None:
-                    kernel, size, copy_edges, copies, misses, memo = check
-                    key = cls[col] | ebit
+                    kernel, size, copy_edges, keep, copies, misses, memo = check
+                    key = cls[col] & keep[idx] | ebit
                     hit = None if memo is None else memo.get(key)
                     if hit is None:
                         rep = key * ones
@@ -304,8 +324,12 @@ class _Search:
                             else:
                                 width = idx + 3
                                 seq: list[int] = []
+                                row[u] |= vbit
+                                row[v] |= ubit
                                 if kernel(row, u, v, size, seq):
                                     hit = True
+                                    row[u] ^= vbit
+                                    row[v] ^= ubit
                                     mask = 0
                                     for a, b in copy_edges(seq):
                                         mask |= bits[a][b]
@@ -319,9 +343,9 @@ class _Search:
                             memo[key] = hit
                     if hit:
                         prunes_mono += 1
-                        row[u] ^= vbit
-                        row[v] ^= ubit
                         continue
+                row[u] |= vbit
+                row[v] |= ubit
                 cls[col] |= ebit
                 assignment[idx] = col
                 if idx + 1 < leaf:

@@ -190,8 +190,7 @@ def test_known_gr_bounds():
     assert known_gr("C10", 3) == (4 * 3 + 6, 4 * 3 + 15)
     assert known_gr("P10", 3) == (4 * 3 + 6, 4 * 3 + 15)
     assert known_gr("P11", 3) == (4 * 3 + 7, 4 * 3 + 15)
-    assert known_gr("M5", 3) == (4 * 3 + 6, 4 * 3 + 15)
-    for name in ("C10", "C12", "P10", "P13", "M5", "M7"):
+    for name in ("C10", "C12", "P10", "P13"):
         for k in range(3, 7):
             lo, hi = known_gr(name, k)
             assert lo <= hi
@@ -210,12 +209,15 @@ def test_known_gr_bounds():
         for m in range(10, 15, 2):
             h = m // 2
             assert lower(known_gr(f"C{m}", k), k) == (h - 1) * k + h + 1
-        for s in range(5, 9):
-            assert lower(known_gr(f"M{s}", k), k) == (s - 1) * k + s + 1
+    # every matching is exact: Cockayne & Lorimer's R_k(M_s) bounds GR_k
+    # from above and meets the construction
+    for k in range(1, 7):
+        for s in range(1, 9):
+            assert known_gr(f"M{s}", k) == (s - 1) * k + s + 1, (s, k)
 
 
 def test_known_gr_out_of_hypotheses():
-    for name in ("P0", "P2", "C2", "M0", "M1", "M2", "C17", "K4", "K5", "X9"):
+    for name in ("P0", "P2", "C2", "M0", "C17", "K4", "K5", "X9"):
         with pytest.raises(OutOfHypothesesError):
             known_gr(name, 3)
     with pytest.raises(OutOfHypothesesError):

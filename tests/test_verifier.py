@@ -2,6 +2,7 @@ import multiprocessing
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -15,13 +16,15 @@ from gallai_ramsey import (
     compute_gr,
     decide_upper,
     is_gallai,
+    known_gr,
     parse_target_list,
     report_to_json,
     sorted_spec,
     verify_lower,
 )
 from gallai_ramsey import verifier
-from gallai_ramsey.search import exists_cycle_through
+from gallai_ramsey.search import exists_cycle_through, exists_matching_with_edge
+from gallai_ramsey.targets import CYCLE, MATCHING, matching
 from gallai_ramsey.verifier import (
     CACHE_SIZE,
     MEMO_SIZE,
@@ -173,31 +176,35 @@ def test_witness_stop_holds_its_counters():
 
 
 @pytest.mark.parametrize(
-    "prefixes",
-    [[()], [(1, 2, 3, 1, 2, 3)], [(1, 2, 3, 1, 2, 3), (1, 1, 2, 3, 3, 2)]],
-    ids=["whole", "subtask", "reused"],
+    "n, targets, prefixes",
+    [
+        (7, "C4,C4,C4", [()]),
+        (7, "C4,C4,C4", [(1, 2, 3, 1, 2, 3)]),
+        (7, "C4,C4,C4", [(1, 2, 3, 1, 2, 3), (1, 1, 2, 3, 3, 2)]),
+        (7, "M2,M2,M2,M2", [()]),
+    ],
+    ids=["whole", "subtask", "reused", "M2,M2,M2,M2@7"],
 )
-def test_memo_entries_match_direct_checks(prefixes):
+def test_memo_entries_match_direct_checks(n, targets, prefixes):
     # the whole tree of C4,C4,C4@7 meets 24.8k distinct keys, so its
     # memo is cleared on the way; every entry left must decode, by its
     # bits, to the class graph and the new edge whose check it stores.
     # A subtask's prefix colors the edges (0,1)...(0,6), which its keys
     # must hold too; a pool worker runs its subtasks on one search, so
-    # the memo must stay true across prefixes.
-    n = 7
-    search = _Search(n, parse_target_list("C4,C4,C4"), True)
+    # the memo must stay true across prefixes. A matching key holds only
+    # the class edges that avoid both ends of the new edge, and the edge.
+    search = _Search(n, parse_target_list(targets), True)
     for prefix in prefixes:
         assert first(search, prefix)[0] is None
-    (memo,) = search.memos.values()
+    ((t, memo),) = search.memos.items()
     assert 0 < len(memo) < MEMO_SIZE
+    kernel = {CYCLE: exists_cycle_through, MATCHING: exists_matching_with_edge}[t.kind]
     for key, hit in memo.items():
-        rows = [0] * n
-        for idx, (a, b) in enumerate(search.edges):
-            if key >> idx & 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-        u, v = search.edges[key.bit_length() - 1]
-        assert exists_cycle_through(rows, u, v, 4, []) == hit, (key, u, v)
+        top = key.bit_length() - 1
+        u, v = search.edges[top]
+        if t.kind == MATCHING:
+            assert key & ~avoiding(search, top) == 1 << top, (key, u, v)
+        assert kernel(decode(search, key), u, v, t.size, []) == hit, (key, u, v)
 
 
 def decode(search, mask):
@@ -208,6 +215,12 @@ def decode(search, mask):
             rows[a] |= 1 << b
             rows[b] |= 1 << a
     return rows
+
+
+def avoiding(search, idx):
+    """The mask of the edges before edge idx that avoid both its ends."""
+    u, v = search.edges[idx]
+    return sum(1 << j for j, (a, b) in enumerate(search.edges[:idx]) if not {a, b} & {u, v})
 
 
 def unpack(packed, idx):
@@ -224,35 +237,72 @@ def unpack(packed, idx):
     [
         (8, "C6,P6", [()]),
         (7, "C4,C4,C4", [(1, 2, 3, 1, 2, 3), (1, 1, 2, 3, 3, 2)]),
+        (8, "M3,M3", [()]),
     ],
-    ids=["C6,P6@8", "C4,C4,C4@7 reused"],
+    ids=["C6,P6@8", "C4,C4,C4@7 reused", "M3,M3@8"],
 )
 def test_cache_entries_are_true_facts(n, targets, prefixes):
     # a copy mask must decode to a class holding a copy of the target
     # through the mask's edge, a no-copy key to one holding none; the
     # caches outlive the prefixes, as on a pool worker. A field that is
     # not in use holds the empty bit alone in the copy cache, 0 in the
-    # no-copy cache
+    # no-copy cache. For a matching both hold, besides the edge, only
+    # edges that avoid its ends
     search = _Search(n, parse_target_list(targets), True)
     for prefix in prefixes:
         assert first(search, prefix)[0] is None
     for t, (copies, misses) in search.caches.items():
         stored = [0, 0]
         for idx, (u, v) in enumerate(search.edges):
+            kept = avoiding(search, idx) if t.kind == MATCHING else (1 << idx) - 1
             for mask in unpack(copies[idx], idx):
                 if mask == 1 << idx + 1:
                     continue
                 stored[0] += 1
                 assert mask >> idx & 1, (t, idx, mask)
                 assert mask.bit_length() - 1 == idx, (t, idx, mask)
+                assert mask & ~kept == 1 << idx, (t, idx, mask)
                 assert brute_exists_through(decode(search, mask), u, v, t), (t, idx, mask)
             for key in unpack(misses[idx], idx):
                 if not key:
                     continue
                 stored[1] += 1
                 assert key.bit_length() - 1 == idx, (t, idx, key)
+                assert key & ~kept == 1 << idx, (t, idx, key)
                 assert not brute_exists_through(decode(search, key), u, v, t), (t, idx, key)
         assert all(stored), (t, stored)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_matching_key_keeps_the_answer(s):
+    # a matching through edge (u, v) is that edge and s - 1 pairs that
+    # avoid u and v, so a class holds one exactly when its edges that
+    # avoid both ends, with uv, do: the search keys its matching checks
+    # by those edges alone. Random classes of K_n, every edge, up to the
+    # first n that holds the target
+    rng = random.Random(s)
+    t = matching(s)
+    found = [0, 0]
+    for n in range(2, max(8, 2 * s + 1)):
+        edges = list(combinations(range(n), 2))
+        for u, v in edges:
+            for density in (0.3, 0.6, 0.9):
+                whole = [0] * n
+                kept = [0] * n
+                for a, b in edges:
+                    if (a, b) != (u, v) and rng.random() >= density:
+                        continue
+                    graphs = [whole]
+                    if (a, b) == (u, v) or not {a, b} & {u, v}:
+                        graphs.append(kept)
+                    for rows in graphs:
+                        rows[a] |= 1 << b
+                        rows[b] |= 1 << a
+                want = brute_exists_through(whole, u, v, t)
+                assert brute_exists_through(kept, u, v, t) == want, (n, u, v, whole)
+                found[want] += 1
+    # M1 is the edge itself, so every class holds one
+    assert found[True] and (found[False] or s == 1), found
 
 
 def test_packed_caches_match_plain_lists(monkeypatch):
@@ -261,20 +311,26 @@ def test_packed_caches_match_plain_lists(monkeypatch):
     # edge: a copy inside the key answers yes, a no-copy key holding it
     # answers no, and only otherwise does the kernel run. Here the kernel
     # answers at random and records a random part of the key as its copy.
-    # Edges 17, 40 and 54 take more than CACHE_SIZE entries in each cache,
-    # so old ones drop out. The queries run through the search loop: on
-    # M2,M2 both colors share one check, and a prefix that gives color 1
-    # the key's edges below `edge` and color 2 the others asks color 1 at
-    # the key and, if that answers yes, color 2 at the complement. The
-    # answers show in the leaf reached at depth edge + 1 and in the
-    # mono prunes.
+    # The queries run through the search loop: on M2,M2 both colors share
+    # one check, and a prefix that gives color 1 the key's edges below
+    # `edge` and color 2 the others asks color 1 at the key and, if that
+    # answers yes, color 2 at the complement. The answers show in the leaf
+    # reached at depth edge + 1 and in the mono prunes. A matching check
+    # is keyed by the class edges that avoid both ends of the new edge, so
+    # the lists see each query cut to those edges, and the kernel takes
+    # its copy from them. Edges 20, 40 and 54 take more than CACHE_SIZE
+    # entries in each cache, so old ones drop out. Edge 17, (1, 9), keeps
+    # only the 8 edges (0, x) that avoid both ends, too few keys to fill
+    # a cache, and edges 0, 2 and 9 keep none.
     rng = random.Random(54)
     asked = []
 
     def kernel(row, u, v, size, out):
-        # the key is the class in `row`; a yes records the edges of
-        # `copy`, most of the key, and 0 is a no
+        # the key is the class in `row`, cut to the kept edges; a yes
+        # records the edges of `copy`, most of the key, and 0 is a no
+        edge = search.edges.index((u, v))
         key = sum(1 << idx for idx, (a, b) in enumerate(search.edges) if row[a] >> b & 1)
+        key = key & avoiding(search, edge) | 1 << edge
         copy = 0
         if rng.random() < 0.5:
             top = key.bit_length() - 1
@@ -288,7 +344,7 @@ def test_packed_caches_match_plain_lists(monkeypatch):
     monkeypatch.setattr(verifier, "exists_matching_with_edge", kernel)
     search = _Search(11, parse_target_list("M2,M2"), False)
     ((copies, misses),) = search.caches.values()
-    plain = {edge: ([], []) for edge in (0, 2, 9, 17, 40, 54)}
+    plain = {edge: ([], []) for edge in (0, 2, 9, 17, 20, 40, 54)}
     answers = {True: 0, False: 0, None: 0}
     entered = {(edge, yes): 0 for edge in plain for yes in (True, False)}
     queries = 0
@@ -308,6 +364,7 @@ def test_packed_caches_match_plain_lists(monkeypatch):
         yes, no = plain[edge]
         calls = iter(asked)
         for query, hit in zip((key, key ^ (1 << edge) - 1), got):
+            query = query & avoiding(search, edge) | 1 << edge
             queries += 1
             if any(mask & query == mask for mask in yes):
                 want = True
@@ -330,7 +387,7 @@ def test_packed_caches_match_plain_lists(monkeypatch):
         assert [m for m in unpack(copies[edge], edge) if m != 1 << edge + 1] == yes, edge
         assert [k for k in unpack(misses[edge], edge) if k] == no, edge
     assert min(answers.values()) > 500, answers
-    assert all(entered[edge, yes] > CACHE_SIZE for edge in (17, 40, 54) for yes in (True, False))
+    assert all(entered[edge, yes] > CACHE_SIZE for edge in (20, 40, 54) for yes in (True, False))
 
 
 @pytest.fixture
@@ -371,7 +428,7 @@ def test_caches_answer_most_through_edge_checks(kernel_calls):
         (8, "P6,P6", DEFAULT_BUDGET, 4_932),
         (7, "P5,P5,P5,P3", DEFAULT_BUDGET, 1_465),
         (7, "C4,C4,C4", DEFAULT_BUDGET, 6_551),
-        (10, "M3,M3,M3", 100_000, 1_931),
+        (10, "M3,M3,M3", 100_000, 801),
     ],
 )
 def test_kernel_calls_are_pinned(kernel_calls, n, targets, budget, calls):
@@ -641,7 +698,8 @@ def test_single_color_palette():
 
 
 def test_search_agrees_with_closed_forms_beyond_acceptance():
-    # cases not in the acceptance list, cross-checking known_gr
+    # cases not in the acceptance list, cross-checking known_gr; the
+    # M2 values hold at every k (Cockayne & Lorimer)
     for targets, value in [
         ("C4,C4", 6),
         ("C4,C4,C4", 7),
@@ -649,7 +707,11 @@ def test_search_agrees_with_closed_forms_beyond_acceptance():
         ("P4,P4,P4", 6),
         ("P6,P6", 8),
         ("M3,M3", 8),
+        ("M2,M2,M2", 6),
+        ("M2,M2,M2,M2", 7),
     ]:
+        names = targets.split(",")
+        assert known_gr(names[0], len(names)) == value, targets
         assert kinds(value, targets) == ALL_FORCED, targets
         assert kinds(value - 1, targets) == BAD_COLORING, targets
 
