@@ -4,7 +4,8 @@ with file/JSON output for scripted pipelines.
 Exit codes: 0 definitive success, 1 definitive negative (target-free
 coloring on `check`, no Gallai partition on `partition`, bad coloring on
 `verify-upper`, failed construction on `verify-lower`, discrepancy on
-`compute-gr`), 2 usage error, 3 budget exhausted.
+`compute-gr`), 2 usage error, 3 budget exhausted, 4 internal error (any
+other exception, its message on stderr).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 # every input error the library raises subclasses ValueError
 _USAGE_ERRORS = (ValueError, OSError)
@@ -303,6 +305,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         sys.stderr.write(args.usage())
         return EXIT_USAGE
+    except Exception as e:
+        # not 1, which would read as a definitive negative
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

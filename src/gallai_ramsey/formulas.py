@@ -144,8 +144,6 @@ def parse_spec_string(text: str) -> TargetSpec:
     except ValueError as e:
         raise InvalidSpecError(f"bad spec value: {e}")
     head = fields.get("head", HEAD_CYCLE).lower()
-    if head in ("long_path", "longpath"):
-        head = HEAD_PATH
     return TargetSpec(n=n, k=k, indices=tuple(indices), head=head)
 
 

@@ -14,12 +14,16 @@ copy through a given edge: directly for cycles, and for paths through
 share one signature, (adj, u, v, size, out), and always record the copy
 they found in the list `out`, in the format of `TargetGraph.copy_edges`:
 the path or the cycle in order, or the matching's pairs, the edge's own
-pair last. The path and cycle checks start at the end with fewer free
-neighbors, the higher vertex on a tie. A path or cycle through the edge
-holds both ends, so the choice orders the search but cannot change the
-answer, and the tie rule makes it ignore the order of the arguments.
-The verifier colors edges in lex order: at (u, v) with u < v, every
-class neighbor of v but u lies below u, so v is usually the narrow end.
+pair last. A through-edge kernel reads no edge between u and v: it
+masks both ends out of every neighborhood it reads, so its answer and
+`out` are the same whether or not `adj` holds (u, v). The path and
+cycle checks start at the end with fewer free neighbors, the higher
+vertex on a tie. A path or cycle through the edge holds both ends, so
+the choice orders the search but cannot change the answer, and the tie
+rule makes it ignore the order of the arguments. The verifier colors
+edges in lex order and passes the class without (u, v): at (u, v) with
+u < v, every class neighbor of v lies below u, so v is usually the
+narrow end.
 
 Before the kernel runs, `find_mono` asks the matching oracle below for
 the disjoint edges the target holds: m // 2 for a path on m vertices,
@@ -65,6 +69,8 @@ removal leaves enough disjoint edges for the rest.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from functools import reduce
 from operator import or_
 from typing import Optional, Sequence
@@ -191,11 +197,22 @@ def _two_arms(adj: list[int], last: int, mask: int, need: int, hop: int, out: li
     return -1
 
 
+@contextmanager
+def _recursion_room(depth: int):
+    """Raise the recursion limit by `depth` for the block, then restore
+    it: `_reach_end` recurses once per vertex of the target, and a long
+    target outgrows the default limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + depth)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
     active = reduce(or_, adj, 0)  # the vertices with a class neighbor
     if active.bit_count() < m:
-        return None
-    if sum(map(int.bit_count, adj)) // 2 < m - 1:
         return None
     # a path on m vertices holds m // 2 disjoint edges
     if not _matching_at_least(adj, active, m // 2):
@@ -203,8 +220,9 @@ def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
     # the starts are the candidates of a virtual vertex n joined to every
     # active vertex; one memo serves them all, as the mask holds the start
     out: list[int] = []
-    if _reach_end([*adj, active], n, 0, m, -1, set(), out):
-        return out[::-1]
+    with _recursion_room(m):
+        if _reach_end([*adj, active], n, 0, m, -1, set(), out):
+            return out[::-1]
     return None
 
 
@@ -219,19 +237,20 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
     out: list[int] = []
     # phase s searches cycles whose minimum vertex is s, so every later
     # vertex lies above s and the first hit is lex-least overall
-    for s in active:
-        sbit = 1 << s
-        # the vertices below s count as used
-        used = (sbit << 1) - 1
-        ends = adj[s] & ~used
-        if ends.bit_count() < 2:
-            continue
-        if _twin_skip(adj[s], sbit, tried_starts):
-            continue
-        # a fresh memo per phase: `used` and `ends` change with s
-        if _reach_end(adj, s, used, length - 1, ends, set(), out):
-            return [s, *reversed(out)]
-        tried_starts.append((adj[s], sbit))
+    with _recursion_room(length):
+        for s in active:
+            sbit = 1 << s
+            # the vertices below s count as used
+            used = (sbit << 1) - 1
+            ends = adj[s] & ~used
+            if ends.bit_count() < 2:
+                continue
+            if _twin_skip(adj[s], sbit, tried_starts):
+                continue
+            # a fresh memo per phase: `used` and `ends` change with s
+            if _reach_end(adj, s, used, length - 1, ends, set(), out):
+                return [s, *reversed(out)]
+            tried_starts.append((adj[s], sbit))
     return None
 
 

@@ -217,25 +217,32 @@ class _Search:
         check's `keep` mask of the edge, with the new edge's bit added,
         its highest bit. For a matching, `keep` holds the earlier edges
         that avoid both ends of the edge; for a path or a cycle it holds
-        every earlier edge, so the key is the whole class. The new edge
-        enters its class rows only where they are read: just before a
-        kernel call, which takes it out again on a copy, and when its
-        color is taken. The packed copy cache holds the
-        edge masks of the copies found through that edge, read off by
-        `copy_edges`, and the no-copy cache the keys at which there was
-        none. At edge idx each cache is one int of CACHE_SIZE fields,
-        idx + 3 bits wide: the idx + 1 edge bits, an empty bit that no key
-        holds, and a guard bit. With `rep` the key copied into every field
-        (the key times `ones`, the lowest bit of each), a field of
-        copies & ~rep is 0 exactly when its copy lies inside the key, and
-        a field of rep & ~misses exactly when the key lies inside its
-        miss; both are computed as (a | b) ^ b, which spares Python the
-        negative int ~b. Adding `low`, all ones below each guard bit,
-        carries into the guard bit of every nonzero field and of no other,
-        so one test answers for all fields. An empty copy field holds only
-        its empty bit and an empty miss field is 0, while a key always
-        holds its edge bit: neither ever answers. A new entry shifts in at
-        the bottom and the oldest drops out at the top."""
+        every earlier edge, so the key is the whole class.
+
+        `adj` and `cls` are written in three places only: the prefix
+        replay, a descent, which enters the edge of the depth it leaves,
+        and a backtrack, which takes it out again. At every read they
+        therefore hold the edges colored at the depths above, and never
+        the new edge: a through-edge kernel reads no edge between u and
+        v, so it gets the class rows as they stand, and a leaf's own
+        edge is never entered, as nothing reads it.
+
+        The packed copy cache holds the edge masks of the copies found
+        through that edge, read off by `copy_edges`, and the no-copy
+        cache the keys at which there was none. At edge idx each cache
+        is one int of CACHE_SIZE fields, idx + 3 bits wide: the idx + 1
+        edge bits, an empty bit that no key holds, and a guard bit. With
+        `rep` the key copied into every field (the key times `ones`, the
+        lowest bit of each), a field of copies & ~rep is 0 exactly when
+        its copy lies inside the key, and a field of rep & ~misses
+        exactly when the key lies inside its miss; both are computed as
+        (a | b) ^ b, which spares Python the negative int ~b. Adding
+        `low`, all ones below each guard bit, carries into the guard bit
+        of every nonzero field and of no other, so one test answers for
+        all fields. An empty copy field holds only its empty bit and an
+        empty miss field is 0, while a key always holds its edge bit:
+        neither ever answers. A new entry shifts in at the bottom and
+        the oldest drops out at the top."""
         k = self.k
         edge_consts = self.edge_consts
         adj = self.adj
@@ -324,12 +331,8 @@ class _Search:
                             else:
                                 width = idx + 3
                                 seq: list[int] = []
-                                row[u] |= vbit
-                                row[v] |= ubit
                                 if kernel(row, u, v, size, seq):
                                     hit = True
-                                    row[u] ^= vbit
-                                    row[v] ^= ubit
                                     mask = 0
                                     for a, b in copy_edges(seq):
                                         mask |= bits[a][b]
@@ -344,20 +347,15 @@ class _Search:
                     if hit:
                         prunes_mono += 1
                         continue
-                row[u] |= vbit
-                row[v] |= ubit
-                cls[col] |= ebit
                 assignment[idx] = col
                 if idx + 1 < leaf:
+                    row[u] |= vbit
+                    row[v] |= ubit
+                    cls[col] |= ebit
                     idx += 1
                     break
-                yield (
-                    assignment[:leaf],
-                    SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry),
-                )
-                cls[col] ^= ebit
-                row[u] ^= vbit
-                row[v] ^= ubit
+                stats = SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry)
+                yield assignment[:leaf], stats
 
 
 def _as_targets(spec_or_targets) -> list[TargetGraph]:

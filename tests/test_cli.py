@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from gallai_ramsey import read_coloring
+from gallai_ramsey import cli, read_coloring
 from gallai_ramsey.cli import main
 
 
@@ -168,6 +168,19 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run(capsys, "compute-gr", "--spec", f"n=3 i={entries}")
         assert code == 2 and out == ""  # no case is decided on the remaining entries
         assert f"position {pos}" in err and "usage: gallai compute-gr" in err
+
+
+def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch):
+    # a crash is neither a usage error (2) nor a definitive negative (1)
+    def crash(coloring, targets):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "contains_required", crash)
+    f = tmp_path / "mono.col"
+    f.write_text("4 1\n" + " ".join(["1"] * 6) + "\n")
+    code, out, err = run(capsys, "check", "--coloring", str(f), "--targets", "P3")
+    assert code == 4 and out == ""
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_unknown_flags_exit_2(capsys):

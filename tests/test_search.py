@@ -246,6 +246,30 @@ def test_long_paths_are_the_kernels_first_hit(monkeypatch):
     assert counts[0] <= 2 * 40
 
 
+def line_host(n, ring):
+    """2-coloring of K_n whose color 1 is the path 0-1-...-(n-1), closed
+    into a cycle by the edge (0, n-1) when `ring` is set."""
+    colors = [
+        1 if v - u == 1 or (ring and (u, v) == (0, n - 1)) else 2
+        for u in range(n)
+        for v in range(u + 1, n)
+    ]
+    return EdgeColoring(n, 2, colors)
+
+
+@pytest.mark.parametrize(
+    "n, ring, target", [(1100, False, path(1050)), (1000, True, even_cycle(1000))]
+)
+def test_targets_longer_than_the_recursion_limit(n, ring, target):
+    # the kernel recurses once per vertex of the target, so these outgrow
+    # the default limit of 1000; the search makes room for the call and
+    # gives the limit back afterwards
+    limit = sys.getrecursionlimit()
+    emb = find_mono(line_host(n, ring), 1, target)
+    assert emb.vertices == tuple(range(target.num_vertices))
+    assert sys.getrecursionlimit() == limit
+
+
 def blow_up(rng, base_n, copies):
     """Random graph on `base_n` vertices with each vertex replaced by 1 to
     `copies` twins: equal neighborhoods, the copies of a vertex pairwise
@@ -347,6 +371,41 @@ def test_through_edge_checks_record_real_copies():
                         pairs = list(zip(out[::2], out[1::2]))
                     assert all(adj[x] >> y & 1 for x, y in pairs), where
                     assert {a, b} in [{x, y} for x, y in pairs], where
+
+
+def test_through_edge_checks_ignore_the_edge_itself():
+    # the verifier hands a kernel the class without the new edge (u, v):
+    # a kernel reads no edge between u and v, so with and without it in
+    # `adj` it gives the same answer and records the same copy. Random
+    # classes on K_3 to K_11, a random pair each, every target that fits
+    rng = random.Random(33)
+    found = [0, 0]
+    for n in range(3, 12):
+        for trial in range(120):
+            density = rng.random()
+            adj = [0] * n
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if rng.random() < density:
+                        adj[a] |= 1 << b
+                        adj[b] |= 1 << a
+            u, v = rng.sample(range(n), 2)
+            without = list(adj)
+            without[u] &= ~(1 << v)
+            without[v] &= ~(1 << u)
+            with_edge = list(without)
+            with_edge[u] |= 1 << v
+            with_edge[v] |= 1 << u
+            for t in THROUGH_TARGETS:
+                if t.num_vertices > n:
+                    continue
+                got = []
+                for rows in (without, with_edge):
+                    out = []
+                    got.append((through_check(t, rows, u, v, out), out))
+                assert got[0] == got[1], (n, without, u, v, t.name, got)
+                found[got[0][0]] += 1
+    assert min(found) > 2_000, found
 
 
 def test_through_edge_checks_start_at_the_narrow_end(monkeypatch):

@@ -439,6 +439,33 @@ def test_kernel_calls_are_pinned(kernel_calls, n, targets, budget, calls):
     assert kernel_calls[0] == calls
 
 
+@pytest.mark.parametrize(
+    "n, targets, budget, calls",
+    [(8, "C6,P6", DEFAULT_BUDGET, 33_373), (10, "M3,M3,M3", 100_000, 801)],
+)
+def test_kernels_get_the_class_without_the_new_edge(monkeypatch, n, targets, budget, calls):
+    # the class rows hold the edges colored at the depths above: a kernel
+    # gets its color's row equal to the class mask's graph, never holding
+    # the new edge itself, which it does not read
+    seen = [0]
+
+    def checked(kernel):
+        def wrapper(row, u, v, size, out):
+            seen[0] += 1
+            (col,) = [c for c in range(1, search.k + 1) if search.adj[c] is row]
+            assert row == decode(search, search.cls[col]), (u, v, col)
+            assert not row[u] >> v & 1 and not row[v] >> u & 1, (u, v, col)
+            return kernel(row, u, v, size, out)
+
+        return wrapper
+
+    for name in ("exists_path_through", "exists_cycle_through", "exists_matching_with_edge"):
+        monkeypatch.setattr(verifier, name, checked(getattr(verifier, name)))
+    search = _Search(n, parse_target_list(targets), True)
+    next(search.leaves((), budget, search.m))
+    assert seen[0] == calls
+
+
 def test_reused_search_matches_fresh_one():
     # a pool worker runs its subtasks on one search; a stop at the
     # budget or at a witness leaves its state part-way down the tree,
