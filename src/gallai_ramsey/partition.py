@@ -12,6 +12,15 @@ The order of the merges does not matter: two parts joined in two colors
 lie inside one part of every valid partition that coarsens them both, so
 each merge is forced and the fixpoint is the unique finest valid
 coarsening of the first components, its parts ordered by least vertex.
+
+On a Gallai coloring the first components are already joined pairwise
+in one color, for every between set B, so no merge happens. Suppose x
+in P sees y in Q in one color and y' in Q in another. Every edge
+between two components has its color in B. Walk from y to y' inside Q
+along edges colored outside B: at some step z z' of the walk the color
+from x changes, so c(x, z) and c(x, z') are two colors of B while
+c(z, z') lies outside B, and x z z' is a rainbow triangle. The linking
+rounds therefore run only on non-Gallai input.
 """
 
 from __future__ import annotations

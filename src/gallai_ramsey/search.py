@@ -38,10 +38,18 @@ The kernel tries candidates lowest first, and four devices keep it
 small; each only drops candidates or states that cannot lead to a hit,
 so the first hit is the lex-least:
 
-* after a candidate fails, later candidates with the same class
-  neighborhood are skipped. Swapping two such twins is an automorphism
-  of the color class, so they fail identically. Extremal colorings are
-  full of twins, which is exactly where naive DFS blows up.
+* after a candidate fails, its twins among the later candidates are
+  skipped: the vertices that agree with it outside their pair. Swapping
+  two twins is an automorphism of the color class, so they fail
+  identically. Extremal colorings are full of twins, which is exactly
+  where naive DFS blows up. Two vertices are twins exactly when they
+  are apart with equal neighborhoods, or joined with equal closed
+  neighborhoods. No vertex's neighborhood equals another's closed one,
+  as that needs a loop, so one list of keys serves both kinds: a failed
+  f adds adj[f] and adj[f] | 1 << f, and w is skipped when adj[w] or
+  adj[w] | 1 << w is in it. `_two_arms` and the cycle starts keep the
+  same list. The matching oracle's root skip below is the same rule
+  with open neighborhoods only, as its roots are never joined.
 * `find_mono` memoizes failed (last vertex, visited mask) states; the
   through-edge checks pass no memo.
 * the final vertex is drawn from one mask of allowed ends (for a cycle,
@@ -70,6 +78,7 @@ removal leaves enough disjoint edges for the rest.
 from __future__ import annotations
 
 import sys
+import threading
 from contextlib import contextmanager
 from functools import reduce
 from operator import or_
@@ -80,16 +89,6 @@ from .targets import CYCLE, PATH, Embedding, TargetGraph
 
 class SpecLengthMismatchError(ValueError):
     """Target list length differs from the coloring's palette size."""
-
-
-def _twin_skip(w_adj: int, bit: int, tried: list[tuple[int, int]]) -> bool:
-    # skip w if some already-failed candidate has the same neighborhood
-    # once both vertices' own bits are masked out
-    for f_adj, f_bit in tried:
-        both = ~(bit | f_bit)
-        if (w_adj & both) == (f_adj & both):
-            return True
-    return False
 
 
 def _reaches(adj: list[int], reach: int, free: int, ends: int) -> bool:
@@ -151,20 +150,17 @@ def _reach_end(
     # dead-end cut: the final vertex must be a free vertex of `ends` that
     # a walk from `last` through free vertices reaches
     if cand & ends or _reaches(adj, cand, ~mask, ends):
-        tried: list[tuple[int, int]] = []
+        twins: list[int] = []
         while cand:
             bit = cand & -cand
             cand ^= bit
             w_adj = adj[bit.bit_length() - 1]
-            for f_adj, f_bit in tried:
-                both = ~(bit | f_bit)
-                if (w_adj & both) == (f_adj & both):
-                    break
-            else:
-                if _reach_end(adj, bit.bit_length() - 1, mask | bit, need - 1, ends, failed, out):
-                    out.append(bit.bit_length() - 1)
-                    return True
-                tried.append((w_adj, bit))
+            if w_adj in twins or w_adj | bit in twins:
+                continue
+            if _reach_end(adj, bit.bit_length() - 1, mask | bit, need - 1, ends, failed, out):
+                out.append(bit.bit_length() - 1)
+                return True
+            twins += (w_adj, w_adj | bit)
     if failed is not None:
         failed.add((last, mask))
     return False
@@ -181,33 +177,40 @@ def _two_arms(adj: list[int], last: int, mask: int, need: int, hop: int, out: li
     if _reach_end(adj, hop, mask, need, -1, None, out):
         return need
     cand = adj[last] & ~mask
-    tried: list[tuple[int, int]] = []
+    twins: list[int] = []
     while cand:
         bit = cand & -cand
         cand ^= bit
         w = bit.bit_length() - 1
         w_adj = adj[w]
-        if tried and _twin_skip(w_adj, bit, tried):
+        if w_adj in twins or w_adj | bit in twins:
             continue
         split = _two_arms(adj, w, mask | bit, need - 1, hop, out)
         if split >= 0:
             out.append(w)
             return split
-        tried.append((w_adj, bit))
+        twins += (w_adj, w_adj | bit)
     return -1
+
+
+_recursion_lock = threading.Lock()
 
 
 @contextmanager
 def _recursion_room(depth: int):
     """Raise the recursion limit by `depth` for the block, then restore
     it: `_reach_end` recurses once per vertex of the target, and a long
-    target outgrows the default limit."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + depth)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
+    target outgrows the default limit. The limit is the whole process's,
+    so one lock is held from the save to the restore: blocks that
+    overlapped in two threads would each restore the limit while the
+    other still needs the room, or leave the other's raise behind."""
+    with _recursion_lock:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + depth)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def _find_path_sequence(adj: list[int], n: int, m: int) -> Optional[list[int]]:
@@ -233,7 +236,7 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
     # fail the matching check's first test
     if not _matching_at_least(adj, sum(1 << v for v in active), length // 2):
         return None
-    tried_starts: list[tuple[int, int]] = []
+    twins: list[int] = []
     out: list[int] = []
     # phase s searches cycles whose minimum vertex is s, so every later
     # vertex lies above s and the first hit is lex-least overall
@@ -245,12 +248,12 @@ def _find_cycle_sequence(adj: list[int], n: int, length: int) -> Optional[list[i
             ends = adj[s] & ~used
             if ends.bit_count() < 2:
                 continue
-            if _twin_skip(adj[s], sbit, tried_starts):
+            if adj[s] in twins or adj[s] | sbit in twins:
                 continue
             # a fresh memo per phase: `used` and `ends` change with s
             if _reach_end(adj, s, used, length - 1, ends, set(), out):
                 return [s, *reversed(out)]
-            tried_starts.append((adj[s], sbit))
+            twins += (adj[s], adj[s] | sbit)
     return None
 
 
@@ -420,6 +423,8 @@ def find_mono(c: EdgeColoring, color: int, target: TargetGraph) -> Optional[Embe
 
     Targets with more vertices than the host return None rather than
     raising; the verifier probes shrinking hosts and relies on this.
+    Path and cycle searches in several threads take turns at their
+    kernel, as each raises the process's recursion limit for it.
     """
     if not 1 <= color <= c.k:
         raise ColorOutOfRangeError(f"color {color} outside palette [1, {c.k}]")

@@ -144,8 +144,10 @@ def brute_exists_through(adj, u: int, v: int, target: TargetGraph) -> bool:
     return rec(False)
 
 
-def brute_decide_upper(n: int, targets) -> str:
-    """Verdict by filtering every coloring of K_n. Tiny n only."""
+def brute_bad_colorings(n: int, targets):
+    """Every coloring of K_n, with labelled vertices and fixed colors,
+    that has no rainbow triangle and avoids each color's target, as its
+    color tuple in lex edge order. Tiny n only."""
     k = len(targets)
     m = n * (n - 1) // 2
     for combo in product(range(1, k + 1), repeat=m):
@@ -153,8 +155,24 @@ def brute_decide_upper(n: int, targets) -> str:
         if brute_rainbow(c) is not True:
             continue
         if all(brute_find_sequence(c, col, t) is None for col, t in enumerate(targets, 1)):
-            return "bad_coloring"
-    return "all_forced"
+            yield combo
+
+
+def brute_decide_upper(n: int, targets) -> str:
+    """Verdict by filtering every coloring of K_n. Tiny n only."""
+    if next(brute_bad_colorings(n, targets), None) is None:
+        return "all_forced"
+    return "bad_coloring"
+
+
+def brute_labelled_count(n: int, targets) -> dict[int, int]:
+    """The number of bad colorings of K_n, labelled, per number of
+    colors they use. Tiny n only."""
+    counts: dict[int, int] = {}
+    for combo in brute_bad_colorings(n, targets):
+        used = len(set(combo))
+        counts[used] = counts.get(used, 0) + 1
+    return counts
 
 
 def brute_gallai_partition(c: EdgeColoring):

@@ -18,6 +18,7 @@ from gallai_ramsey import (
     sorted_spec,
     validate_partition,
 )
+from gallai_ramsey import partition
 from gallai_ramsey.construction import layers
 
 
@@ -247,6 +248,39 @@ def test_partition_merge_chain():
     assert p.parts == ((0, 1), (2, 3), (4, 5), (6, 7), tuple(range(8, 24)))
     assert p.between_colors == (1, 2)
     assert (p.parts, p.between_colors, p.pair_color) == brute_gallai_partition(c)
+
+
+def test_linking_rounds_run_only_on_non_gallai_input(monkeypatch):
+    # on a Gallai coloring the first components are joined pairwise in one
+    # color (module docstring), so every between set takes one component
+    # pass; the merge chain, not Gallai, takes eight at (1, 2): seven
+    # merges and the pass that finds none
+    runs = []
+    components = partition._components
+    try_between_set = partition._try_between_set
+
+    def counted(*args):
+        runs[-1][1] += 1
+        return components(*args)
+
+    def per_set(c, between):
+        runs.append([between, 0])
+        found = try_between_set(c, between)
+        runs[-1].append(found is not None)
+        return found
+
+    monkeypatch.setattr(partition, "_components", counted)
+    monkeypatch.setattr(partition, "_try_between_set", per_set)
+    rng = random.Random(34)
+    for _ in range(400):
+        n, k = rng.randint(2, 60), rng.randint(1, 7)
+        assert gallai_partition(random_gallai(n, k, rng.randrange(2 ** 32))) is not None
+    assert {passes for _, passes, _ in runs} == {1}
+    # some two-color sets reach the linking loop with two or more parts
+    assert any(len(between) == 2 and found for between, _, found in runs)
+    runs.clear()
+    gallai_partition(merge_chain(12, 4))
+    assert runs == [[(1,), 1, False], [(1, 2), 8, True]]
 
 
 def test_validate_partition_matches_brute_force_oracle():

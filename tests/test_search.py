@@ -1,6 +1,8 @@
 import hashlib
 import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from itertools import permutations
 
 import pytest
 
@@ -270,6 +272,75 @@ def test_targets_longer_than_the_recursion_limit(n, ring, target):
     assert sys.getrecursionlimit() == limit
 
 
+def test_concurrent_long_searches_keep_the_recursion_limit():
+    # the limit is the whole process's: searches in four threads, switched
+    # often, must each keep their room and leave the limit as it was
+    c = line_host(1100, False)
+    limit = sys.getrecursionlimit()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    pool = ThreadPoolExecutor(4)
+    try:
+        runs = [
+            pool.submit(lambda: [find_mono(c, 1, path(1050)) for _ in range(10)])
+            for _ in range(4)
+        ]
+        found = [emb.vertices for run in runs for emb in run.result(timeout=60)]
+    finally:
+        pool.shutdown(wait=False)
+        sys.setswitchinterval(interval)
+    assert found == [tuple(range(1050))] * 40
+    assert sys.getrecursionlimit() == limit
+
+
+def class_host(n, joined):
+    """2-coloring of K_n: color 1 on the pairs (u, v), u < v, where
+    `joined` holds, color 2 on the rest."""
+    return EdgeColoring(
+        n, 2, [1 if joined(u, v) else 2 for u in range(n) for v in range(u + 1, n)]
+    )
+
+
+TWIN_HOSTS = {
+    # color 1 is two disjoint K_{20,20}: a side's vertices are apart, with
+    # equal neighborhoods
+    "bicliques": class_host(80, lambda u, v: u // 40 == v // 40 and u // 20 != v // 20),
+    # color 1 is two disjoint K_21: a block's vertices are joined, with
+    # equal closed neighborhoods
+    "cliques": class_host(42, lambda u, v: u // 21 == v // 21),
+}
+
+
+@pytest.mark.parametrize(
+    "host, target, calls",
+    [
+        ("bicliques", path(42), 161),
+        ("bicliques", even_cycle(42), 80),
+        ("bicliques", path(41), 157),
+        ("cliques", path(22), 41),
+        ("cliques", even_cycle(22), 40),
+    ],
+)
+def test_twin_rule_skips_both_kinds_of_twins(monkeypatch, host, target, calls):
+    # No target fits in a component, yet the matching cut passes each,
+    # so the kernel rules them out with the twin rule: without the key of
+    # the open neighborhoods the K_{20,20} searches run on and on, and
+    # without that of the closed ones the K_21 searches
+    count = 0
+    kernel = search._reach_end
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        if count > 2000:
+            raise AssertionError("the twin rule skipped too little")
+        return kernel(*args)
+
+    monkeypatch.setattr(search, "_reach_end", counted)
+    assert find_mono(TWIN_HOSTS[host], 1, target) is None
+    assert count == calls
+
+
 def blow_up(rng, base_n, copies):
     """Random graph on `base_n` vertices with each vertex replaced by 1 to
     `copies` twins: equal neighborhoods, the copies of a vertex pairwise
@@ -283,6 +354,25 @@ def blow_up(rng, base_n, copies):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return adj
+
+
+def test_keyed_twin_test_matches_the_pairwise_definition():
+    # two vertices agree outside their pair exactly when the open or the
+    # closed neighborhood of one is a key of the other: its open or its
+    # closed neighborhood. blow_up plants twins of both kinds
+    rng = random.Random(34)
+    twins = {False: 0, True: 0}
+    for _ in range(500):
+        adj = blow_up(rng, rng.randint(1, 8), 4)
+        for w, f in permutations(range(len(adj)), 2):
+            wbit, fbit = 1 << w, 1 << f
+            outside = ~(wbit | fbit)
+            pairwise = adj[w] & outside == adj[f] & outside
+            keys = (adj[f], adj[f] | fbit)
+            assert (adj[w] in keys or adj[w] | wbit in keys) == pairwise, (adj, w, f)
+            if pairwise:
+                twins[bool(adj[w] & fbit)] += 1
+    assert min(twins.values()) > 5000, twins
 
 
 def uniform_classes(rng, count=40):

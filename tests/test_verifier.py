@@ -3,10 +3,11 @@ import random
 import subprocess
 import sys
 from itertools import combinations
+from math import perm
 
 import pytest
 
-from brute import brute_decide_upper, brute_exists_through
+from brute import brute_decide_upper, brute_exists_through, brute_labelled_count
 from gallai_ramsey import (
     ALL_FORCED,
     BAD_COLORING,
@@ -564,6 +565,58 @@ def test_symmetry_off_same_verdict_more_nodes():
     assert v_on.kind == v_off.kind == ALL_FORCED
     assert s_off.nodes >= s_on.nodes
     assert s_on.prunes_symmetry > 0
+
+
+def labelled_census(n, targets, symmetry):
+    """The leaves of the whole tree per number of colors they use; with
+    symmetry off, the labelled bad colorings of K_n."""
+    search = _Search(n, targets, symmetry)
+    counts = {}
+    for colors, _ in search.leaves((), 10 ** 9, search.m):
+        if colors is not None:
+            used = len(set(colors))
+            counts[used] = counts.get(used, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "targets, n, labelled, leaves",
+    [
+        ("C6,C6", 4, 64, 32),
+        ("C6,C6", 5, 1_024, 512),
+        ("C6,C6", 6, 13_812, 6_906),
+        ("C6,C6", 7, 34_104, 17_052),
+        ("C4,C4,C4", 5, 1_236, 206),
+        ("C4,C4,C4", 6, 1_296, 216),
+        ("P5,P5,P5,P5", 4, 736, 47),
+        ("P5,P5,P5,P5", 5, 8_100, 355),
+        ("P5,P5,P5,P5", 6, 61_920, 2_580),
+    ],
+)
+def test_color_precedence_keeps_one_coloring_per_orbit(targets, n, labelled, leaves):
+    # With all targets identical, permuting the colors maps bad colorings
+    # to bad colorings. The orbit of one that uses j of the k colors has
+    # (k)_j members, exactly one of them in color-precedence order, so
+    # the symmetry-on leaves are sum_j L_j / (k)_j, with L_j the labelled
+    # bad colorings that use j colors. The vertex rule never fires here:
+    # precedence puts color 1 on (0, 1).
+    targets = parse_target_list(targets)
+    by_colors = labelled_census(n, targets, False)
+    assert sum(by_colors.values()) == labelled
+    orbits = 0
+    for j, count in by_colors.items():
+        assert count % perm(len(targets), j) == 0, (j, count)
+        orbits += count // perm(len(targets), j)
+    assert sum(labelled_census(n, targets, True).values()) == orbits == leaves
+
+
+@pytest.mark.parametrize(
+    "targets, largest", [("C6,C6", 5), ("C4,C4,C4", 4), ("P5,P5,P5,P5", 4)]
+)
+def test_labelled_census_matches_brute_force(targets, largest):
+    targets = parse_target_list(targets)
+    for n in range(2, largest + 1):
+        assert labelled_census(n, targets, False) == brute_labelled_count(n, targets), n
 
 
 def counts(stats):
