@@ -70,7 +70,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
-from .coloring import EdgeColoring, RainbowWitness, is_gallai
+from .coloring import EdgeColoring, RainbowWitness, all_pairs, is_gallai
 from .construction import build_lower_bound_coloring
 from .formulas import TargetSpec, predicted_gr
 from .search import (
@@ -123,7 +123,7 @@ class _Search:
 
     def __init__(self, n: int, targets: Sequence[TargetGraph], symmetry: bool):
         self.k = len(targets)
-        self.edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        self.edges = list(all_pairs(n))
         self.m = len(self.edges)
         self.adj = [[0] * n for _ in range(self.k + 1)]
         # the rows of colors 1..k; row 0 stays empty
@@ -148,17 +148,14 @@ class _Search:
         # per edge index: u, v, their bits, the edge bit, and the ones,
         # low and guard of the packed caches (see leaves)
         self.edge_consts = []
-        empty_copies = []
         for idx, (u, v) in enumerate(self.edges):
             self.bits[u][v] = self.bits[v][u] = 1 << idx
-            width = idx + 3
+            width = idx + 2
             ones = ((1 << width * CACHE_SIZE) - 1) // ((1 << width) - 1)
             guard = ones << width - 1
             self.edge_consts.append((u, v, 1 << u, 1 << v, 1 << idx, ones, guard - ones, guard))
-            empty_copies.append(ones << idx + 1)
-        # per edge index: the masks of the earlier edges, and of those
-        # among them that avoid both ends of the edge (see leaves)
-        earlier = [(1 << idx) - 1 for idx in range(self.m)]
+        # per edge index: the mask of the earlier edges that avoid both
+        # ends of the edge, a matching's key cut (see leaves)
         avoiding = [
             sum(1 << j for j, (a, b) in enumerate(self.edges[:idx]) if not {a, b} & {u, v})
             for idx, (u, v) in enumerate(self.edges)
@@ -180,11 +177,11 @@ class _Search:
         for t in targets:
             if t.num_vertices > n or t in checks:
                 continue
-            copies = list(empty_copies)
+            copies = [guard for *_, guard in self.edge_consts]
             misses = [0] * self.m
             self.caches[t] = (copies, misses)
             memo = self.memos.setdefault(t, {}) if self.k >= 3 else None
-            keep = avoiding if t.kind == MATCHING else earlier
+            keep = avoiding if t.kind == MATCHING else [-1] * self.m
             checks[t] = (kernels[t.kind], t.size, t.copy_edges, keep, copies, misses, memo)
         self.checks = [None] + [checks.get(t) for t in targets]
         # the vertex rule compares edges (0,1) and (0,2) of the lex order;
@@ -207,17 +204,14 @@ class _Search:
         entry states a fact about an edge set, so neither depends on the
         prefix.
 
-        One loop runs the whole subtree. `assignment` is its stack: a
-        depth's entry is the color it tries, and `rainbows` keeps the
-        depth's rainbow mask. The stack needs no clearing: the prefix
-        writes the entries below it, and a depth writes its own before
-        any read, so no entry is read before this run has written it.
-
-        The key of a through-edge check is the class mask cut by the
-        check's `keep` mask of the edge, with the new edge's bit added,
-        its highest bit. For a matching, `keep` holds the earlier edges
-        that avoid both ends of the edge; for a path or a cycle it holds
-        every earlier edge, so the key is the whole class.
+        One loop runs the whole subtree, and it has one exit: it ends
+        when the colors at depth `top`, the prefix's length, run out or
+        when the count passes the budget, and the last item is yielded
+        once, after it. `assignment` is its stack: a depth's entry is the
+        color it tries, and `rainbows` keeps the depth's rainbow mask.
+        The stack needs no clearing: the prefix writes the entries below
+        it, and a depth writes its own before any read, so no entry is
+        read before this run has written it.
 
         `adj` and `cls` are written in three places only: the prefix
         replay, a descent, which enters the edge of the depth it leaves,
@@ -227,11 +221,18 @@ class _Search:
         v, so it gets the class rows as they stand, and a leaf's own
         edge is never entered, as nothing reads it.
 
+        The key of a through-edge check is the class mask cut by the
+        check's `keep` mask of the edge, with the new edge's bit added.
+        The class holds only edges below the new one, so that bit is the
+        key's highest. Only a matching cuts: its `keep` holds the earlier
+        edges that avoid both ends of the edge. A path's or a cycle's
+        `keep` is all ones, so its key is the whole class.
+
         The packed copy cache holds the edge masks of the copies found
         through that edge, read off by `copy_edges`, and the no-copy
         cache the keys at which there was none. At edge idx each cache
-        is one int of CACHE_SIZE fields, idx + 3 bits wide: the idx + 1
-        edge bits, an empty bit that no key holds, and a guard bit. With
+        is one int of CACHE_SIZE fields, idx + 2 bits wide: the idx + 1
+        edge bits and a guard bit G, above every key and entry. With
         `rep` the key copied into every field (the key times `ones`, the
         lowest bit of each), a field of copies & ~rep is 0 exactly when
         its copy lies inside the key, and a field of rep & ~misses
@@ -239,10 +240,12 @@ class _Search:
         (a | b) ^ b, which spares Python the negative int ~b. Adding
         `low`, all ones below each guard bit, carries into the guard bit
         of every nonzero field and of no other, so one test answers for
-        all fields. An empty copy field holds only its empty bit and an
-        empty miss field is 0, while a key always holds its edge bit:
-        neither ever answers. A new entry shifts in at the bottom and
-        the oldest drops out at the top."""
+        all fields. A copy field not in use holds G alone: it reads
+        (G | rep) ^ rep = G, and adding `low`, G - 1 in that field, gives
+        2G - 1, which sets the guard bit and carries no further, so it
+        never answers. A miss field not in use is 0, while a key always
+        holds its edge bit, so it never answers either. A new entry
+        shifts in at the bottom and the oldest drops out at the top."""
         k = self.k
         edge_consts = self.edge_consts
         adj = self.adj
@@ -266,7 +269,7 @@ class _Search:
             assignment[idx] = col
         idx = top = len(prefix)
         nodes = prunes_rainbow = prunes_mono = prunes_symmetry = 0
-        while True:
+        while idx >= top and nodes <= budget:
             # enter depth idx
             u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
             # w joined to u and v in two different colors closes a rainbow
@@ -282,12 +285,11 @@ class _Search:
             col = 0
             while True:
                 if col == k:
-                    # every color tried: undo the color the parent tried
-                    if idx == top:
-                        stats = SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry)
-                        yield None, stats
-                        return
+                    # every color tried: undo the color the parent tried,
+                    # or leave the loop at the top
                     idx -= 1
+                    if idx < top:
+                        break
                     u, v, ubit, vbit, ebit, ones, low, guard = edge_consts[idx]
                     rainbow = rainbows[idx]
                     col = assignment[idx]
@@ -299,9 +301,7 @@ class _Search:
                 col += 1
                 nodes += 1
                 if nodes > budget:
-                    stats = SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry)
-                    yield None, stats
-                    return
+                    break
                 if not cls[col]:
                     p = prev[col]
                     if p and not cls[p]:
@@ -329,7 +329,7 @@ class _Search:
                             if (((rep | no) ^ no) + low) & guard != guard:
                                 hit = False
                             else:
-                                width = idx + 3
+                                width = idx + 2
                                 seq: list[int] = []
                                 if kernel(row, u, v, size, seq):
                                     hit = True
@@ -356,6 +356,7 @@ class _Search:
                     break
                 stats = SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry)
                 yield assignment[:leaf], stats
+        yield None, SearchStats(nodes, prunes_rainbow, prunes_mono, prunes_symmetry)
 
 
 def _as_targets(spec_or_targets) -> list[TargetGraph]:

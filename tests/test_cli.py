@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
-from gallai_ramsey import cli, read_coloring
+from gallai_ramsey import cli, read_coloring, verifier
 from gallai_ramsey.cli import main
+from gallai_ramsey.coloring import RainbowWitness
+from gallai_ramsey.targets import Embedding, path
 
 
 def run(capsys, *argv):
@@ -83,6 +85,8 @@ def test_formula_classical_and_known(capsys):
     assert code == 0 and json.loads(stdout) == {"lower": 18, "upper": 27}
     code, stdout, _ = run(capsys, "formula", "--known", "C10", "-k", "3")
     assert code == 0 and stdout.strip() == "between 18 and 27"
+    code, _, err = run(capsys, "formula", "--classical", "P5,P5,P5")
+    assert code == 2 and "exactly two targets" in err
 
 
 def test_partition_command(tmp_path, capsys):
@@ -93,6 +97,21 @@ def test_partition_command(tmp_path, capsys):
     data = json.loads(stdout)
     assert sorted(v for p in data["parts"] for v in p) == [0, 1, 2, 3]
     assert len(data["between_colors"]) <= 2
+
+
+def test_partition_of_a_rainbow_triangle_is_none(tmp_path, capsys):
+    f = tmp_path / "rainbow.col"
+    f.write_text("3 3\n1 2 3\n")
+    code, stdout, _ = run(capsys, "partition", "--coloring", str(f))
+    assert code == 1 and stdout == "none\n"
+    code, stdout, _ = run(capsys, "partition", "--coloring", str(f), "--json")
+    assert code == 1 and json.loads(stdout) == {"partition": None}
+
+
+def test_construct_without_output_prints_the_coloring(capsys):
+    code, stdout, _ = run(capsys, "construct", "--spec", "n=3 i=1,0")
+    assert code == 0
+    assert stdout == "4 2\n1 1 1\n1 1\n1\n"
 
 
 def test_verify_lower_command(capsys):
@@ -124,6 +143,28 @@ def test_verify_upper_exit_codes(tmp_path, capsys):
     assert json.loads(stdout)["verdict"] == "budget"
 
 
+def test_verify_upper_prints_the_witness_after_the_verdict(capsys):
+    code, stdout, _ = run(capsys, "verify-upper", "-N", "5", "--targets", "P5,P5")
+    assert code == 1
+    verdict, text = stdout.split("\n", 1)
+    assert verdict.startswith("verdict: bad_coloring (nodes=")
+    witness = read_coloring(text)
+    assert witness.n == 5 and witness.k == 2
+
+
+def test_verify_lower_failure_names_its_defects(capsys, monkeypatch):
+    spec = "n=3 i=1,0"
+    lower = verifier.verify_lower(cli.parse_spec_string(spec))
+    embedding = Embedding(path(5), 2, (0, 1, 2, 3, 4))
+    failed = verifier.LowerBoundResult(
+        False, lower.witness, RainbowWitness((0, 1, 2)), (2, embedding)
+    )
+    monkeypatch.setattr(cli, "verify_lower", lambda spec: failed)
+    code, stdout, _ = run(capsys, "verify-lower", "--spec", spec)
+    assert code == 1
+    assert stdout == "failed: rainbow triangle at (0, 1, 2); monochromatic P5 in color 2\n"
+
+
 def test_verify_upper_no_symmetry_flag(capsys):
     code, stdout, _ = run(
         capsys, "verify-upper", "-N", "5", "--targets", "P5,P3", "--no-symmetry", "--json"
@@ -138,6 +179,35 @@ def test_compute_gr_command(capsys):
     assert code == 0
     data = json.loads(stdout)
     assert data["status"] == "confirmed" and data["value"] == 5
+
+
+def test_compute_gr_budget_exits_3(capsys):
+    code, stdout, _ = run(capsys, "compute-gr", "--spec", "n=3 i=2,2", "--budget", "1")
+    assert code == 3
+    assert stdout == "inconclusive: budget exhausted at N=8\n"
+    code, stdout, _ = run(capsys, "compute-gr", "--spec", "n=3 i=2,2", "--budget", "1", "--json")
+    assert code == 3
+    data = json.loads(stdout)
+    assert data["status"] == "inconclusive" and data["value"] is None
+    assert data["predicted"] == 8 and data["upper_verdict"] == "budget"
+
+
+def test_compute_gr_discrepancy_exits_1(capsys, monkeypatch):
+    spec = "n=3 i=1,0"
+    result = verifier.compute_gr(cli.parse_spec_string(spec))
+    lower = verifier.LowerBoundResult(False, result.lower.witness, None, None)
+    discrepancy = verifier.GrResult(
+        result.predicted,
+        verifier.DISCREPANCY,
+        None,
+        lower,
+        result.upper_verdict,
+        result.upper_stats,
+    )
+    monkeypatch.setattr(cli, "compute_gr", lambda spec, budget, threads: discrepancy)
+    code, stdout, _ = run(capsys, "compute-gr", "--spec", spec)
+    assert code == 1
+    assert stdout == "discrepancy: formula predicts 5 but lower_ok=False, upper=all_forced\n"
 
 
 def test_random_command_deterministic(tmp_path, capsys):

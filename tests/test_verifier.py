@@ -226,9 +226,8 @@ def avoiding(search, idx):
 
 def unpack(packed, idx):
     """The CACHE_SIZE fields, newest first, of a packed cache at edge
-    index idx: idx + 3 bits each, the edge bits, the empty bit and the
-    guard bit."""
-    width = idx + 3
+    index idx: idx + 2 bits each, the edge bits and the guard bit."""
+    width = idx + 2
     assert packed >> width * CACHE_SIZE == 0, (idx, packed)
     return [packed >> width * i & (1 << width) - 1 for i in range(CACHE_SIZE)]
 
@@ -246,7 +245,7 @@ def test_cache_entries_are_true_facts(n, targets, prefixes):
     # a copy mask must decode to a class holding a copy of the target
     # through the mask's edge, a no-copy key to one holding none; the
     # caches outlive the prefixes, as on a pool worker. A field that is
-    # not in use holds the empty bit alone in the copy cache, 0 in the
+    # not in use holds the guard bit alone in the copy cache, 0 in the
     # no-copy cache. For a matching both hold, besides the edge, only
     # edges that avoid its ends
     search = _Search(n, parse_target_list(targets), True)
@@ -447,7 +446,9 @@ def test_kernel_calls_are_pinned(kernel_calls, n, targets, budget, calls):
 def test_kernels_get_the_class_without_the_new_edge(monkeypatch, n, targets, budget, calls):
     # the class rows hold the edges colored at the depths above: a kernel
     # gets its color's row equal to the class mask's graph, never holding
-    # the new edge itself, which it does not read
+    # the new edge itself, which it does not read, and the class mask
+    # holds no edge at or above the new one, so a path or cycle key needs
+    # no cut
     seen = [0]
 
     def checked(kernel):
@@ -456,6 +457,7 @@ def test_kernels_get_the_class_without_the_new_edge(monkeypatch, n, targets, bud
             (col,) = [c for c in range(1, search.k + 1) if search.adj[c] is row]
             assert row == decode(search, search.cls[col]), (u, v, col)
             assert not row[u] >> v & 1 and not row[v] >> u & 1, (u, v, col)
+            assert search.cls[col] >> search.edges.index((u, v)) == 0, (u, v, col)
             return kernel(row, u, v, size, out)
 
         return wrapper
@@ -831,6 +833,19 @@ def test_compute_gr_budget_is_inconclusive():
     assert result.value is None
 
 
+def test_compute_gr_reports_a_failed_construction(monkeypatch):
+    # an upper search that forces every coloring does not confirm the
+    # value when the construction fails: the two disagree
+    spec = sorted_spec([1, 0], n=3)
+    lower = verify_lower(spec)
+    failed = verifier.LowerBoundResult(False, lower.witness, None, None)
+    monkeypatch.setattr(verifier, "verify_lower", lambda spec: failed)
+    result = compute_gr(spec)
+    assert result.upper_verdict.kind == ALL_FORCED
+    assert result.status == "discrepancy"
+    assert result.value is None and result.lower is failed
+
+
 def test_report_json_shape():
     targets = parse_target_list("P5,P3")
     verdict, stats = decide_upper(4, targets)
@@ -839,6 +854,9 @@ def test_report_json_shape():
     assert report["targets"] == ["P5", "P3"]
     assert report["verdict"] == BAD_COLORING
     assert report["witness_file"] == "w.col"
+    # the bad coloring's colors, in pair order
+    assert report["witness"] == list(verdict.witness.colors)
+    assert len(report["witness"]) == 6
     assert set(report["stats"]) == {
         "nodes",
         "prunes_rainbow",
@@ -846,3 +864,6 @@ def test_report_json_shape():
         "prunes_symmetry",
         "elapsed",
     }
+    verdict, stats = decide_upper(5, targets)
+    assert verdict.kind == ALL_FORCED
+    assert "witness" not in report_to_json(5, targets, verdict, stats)
