@@ -4,6 +4,10 @@ A coloring assigns one of k colors (1-based) to every unordered vertex
 pair of K_n. Colors live in a flat triangular array in lexicographic
 pair order (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1); that
 order is also the wire format used by read_coloring/write_coloring.
+The array is a bytes object, one byte per pair, when every color is
+below 256, and a tuple only when some color is 256 or more. The used
+colors of a bytes array come from two translates over the 256 byte
+values, not from a set of its colors.
 
 The rainbow test takes one least vertex at a time, at one big-int OR
 per vertex pair, (used colors) * n bits wide (see is_gallai). It skips
@@ -15,8 +19,8 @@ The per-edge work of the core runs at C speed where it can:
 - the class adjacency of a host with many vertices per used color
   comes from one n x n byte matrix of color codes, turned into each
   color's rows by one translate and one int(row, 2) per vertex (see
-  _rows_from_bytes); colors below 256 are their own codes, so
-  bytes(colors) is the flat array. Small hosts and hosts with many
+  _rows_from_bytes); colors below 256 are their own codes, so the
+  coloring's bytes are the flat array. Small hosts and hosts with many
   colors keep the loop over pairs, which is faster there;
 - read_coloring reads an ASCII text without comments whose n and k
   are digits and whose colors are palette colors of one digit each
@@ -24,12 +28,14 @@ The per-edge work of the core runs at C speed where it can:
   colors) by three translates of the whole body (see _read_digits).
   Any other text goes to the token reader, which parses and
   range-checks a palette color's canonical token by one dict lookup
-  and reports every error;
+  and reports every error. The one-digit reader's byte string becomes
+  the coloring's array without a copy;
 - write_coloring puts one-digit colors into every other byte of one
   buffer of blanks, by one extended slice; other colors are named once
   each and their rows joined from slices of one token list;
 - random_gallai writes each block pair with one slice assignment per
-  vertex of the first block, since every block is a vertex range.
+  vertex of the first block, since every block is a vertex range, into
+  a bytearray when every palette color fits in a byte.
 Everything sized by the palette follows the colors used, not k: the
 class adjacency holds rows for the used colors only.
 """
@@ -80,11 +86,18 @@ def all_pairs(n: int) -> Iterator[tuple[int, int]]:
             yield u, v
 
 
+# every byte value once, in order
+_BYTE_VALUES = bytes(range(256))
+
+
 class EdgeColoring:
     """A k-edge-coloring of K_n. Treat instances as immutable values.
 
-    `colors` is the flat triangular array; `color(u, v)` is O(1) and
-    symmetric in its arguments.
+    `colors` is the flat triangular array: a bytes object, one byte per
+    pair, when every color is below 256, and a tuple only when some
+    color is 256 or more, which a byte cannot hold. Either way indexing
+    and iterating it gives ints, and equality and hash go by content.
+    `color(u, v)` is O(1) and symmetric in its arguments.
     """
 
     __slots__ = ("n", "k", "colors", "_used", "_adj")
@@ -94,7 +107,11 @@ class EdgeColoring:
             raise ValueError(f"need at least 2 vertices, got n={n}")
         if k < 1:
             raise ValueError(f"need at least 1 color, got k={k}")
-        colors = tuple(colors)
+        if not isinstance(colors, bytes):
+            try:
+                colors = bytes(colors)
+            except ValueError:  # a color outside range(256)
+                colors = tuple(colors)
         expected = n * (n - 1) // 2
         if len(colors) < expected:
             raise MissingEdgeError(
@@ -104,10 +121,14 @@ class EdgeColoring:
             raise ValueError(
                 f"expected {expected} edge colors for n={n}, got {len(colors)}"
             )
-        # the range check reads the ends of the used colors (faster than
-        # min and max of the tuple); only a failure scans for the first
-        # bad color, so the message names it
-        used = sorted(set(colors))
+        # the range check reads the ends of the used colors; only a
+        # failure scans for the first bad color, so the message names it.
+        # The byte values absent from the colors, deleted from all 256,
+        # leave the used ones in order.
+        if isinstance(colors, bytes):
+            used = list(_BYTE_VALUES.translate(None, _BYTE_VALUES.translate(None, colors)))
+        else:
+            used = sorted(set(colors))
         if not (1 <= used[0] and used[-1] <= k):
             for c in colors:
                 if not 1 <= c <= k:
@@ -188,11 +209,11 @@ def _rows_from_pairs(n: int, colors: Sequence[int], used: Sequence[int]) -> dict
 def _rows_from_bytes(n: int, colors: Sequence[int], used: Sequence[int]) -> dict[int, list[int]]:
     """The rows of each used color, from one byte matrix.
 
-    A color below 256 is its own byte code, so bytes(colors) is the flat
-    array; past that, the i-th of the used colors (at most 255 of them)
-    has code i. Cell (u, v) of an n x n bytearray holds the code of
-    c(u, v) and the diagonal holds 0: the slice of row u in the flat
-    array goes into row u right of the diagonal and, by one step-n
+    A color below 256 is its own byte code, so the coloring's bytes are
+    the flat array; past that, the i-th of the used colors (at most 255
+    of them) has code i. Cell (u, v) of an n x n bytearray holds the
+    code of c(u, v) and the diagonal holds 0: the slice of row u in the
+    flat array goes into row u right of the diagonal and, by one step-n
     extended slice, into column u below it. Reversed, the matrix holds
     vertex v's row at row n-1-v with vertex w at column n-1-w, so once
     a translate maps one code to "1" and every other byte to "0",
@@ -201,7 +222,7 @@ def _rows_from_bytes(n: int, colors: Sequence[int], used: Sequence[int]) -> dict
     """
     if used[-1] < 256:
         codes = used
-        flat = bytes(colors)
+        flat = colors
     else:
         codes = range(1, len(used) + 1)
         flat = bytes(map(dict(zip(used, codes)).__getitem__, colors))
@@ -363,7 +384,9 @@ def random_gallai(n: int, k: int, seed: int) -> EdgeColoring:
     if k == 1:
         return EdgeColoring(n, k, [1] * (n * (n - 1) // 2))
     rng = random.Random(seed)
-    colors = [0] * (n * (n - 1) // 2)
+    # a bytearray when a byte holds every color: its final copy into
+    # the coloring's bytes is one memcpy, not one step per pair
+    colors = bytearray(n * (n - 1) // 2) if k < 256 else [0] * (n * (n - 1) // 2)
 
     def fill(lo: int, hi: int) -> None:
         m = hi - lo
@@ -495,7 +518,7 @@ def write_coloring(c: EdgeColoring) -> str:
     n = c.n
     if c._used[-1] <= 9:
         body = bytearray(b" ") * (2 * len(c.colors))
-        body[::2] = bytes(c.colors).translate(_TO_DIGIT)
+        body[::2] = c.colors.translate(_TO_DIGIT)
         end = 0
         for length in range(n - 1, 0, -1):
             end += 2 * length

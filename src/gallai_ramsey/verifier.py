@@ -245,7 +245,11 @@ class _Search:
         2G - 1, which sets the guard bit and carries no further, so it
         never answers. A miss field not in use is 0, while a key always
         holds its edge bit, so it never answers either. A new entry
-        shifts in at the bottom and the oldest drops out at the top."""
+        shifts in at the bottom and the oldest drops out at the top. With
+        two colors whose targets differ, color 2's no-copy cache never
+        answers: two nodes at one depth first differ where the later one
+        has color 2 and the earlier one color 1, so every earlier key
+        lacks an edge that the later key holds."""
         k = self.k
         edge_consts = self.edge_consts
         adj = self.adj
@@ -468,6 +472,9 @@ def decide_upper(
     Returns a `Verdict` of kind ALL_FORCED, or BAD_COLORING with a
     concrete avoiding coloring, or BUDGET once more than `budget` (edge,
     color) candidates have been tried in the sequential search order.
+    A witness is checked by `is_gallai` and `contains_required` before
+    it is returned; one that fails either raises RuntimeError, naming
+    the check.
     With threads > 1 the tree is split into subtrees run by at most that
     many worker processes; the verdict and witness are those of the
     sequential run, and so are the counters unless the budget runs out
@@ -493,7 +500,17 @@ def decide_upper(
     if stats.nodes > budget:
         return Verdict(BUDGET), stats
     if colors is not None:
-        return Verdict(BAD_COLORING, witness=EdgeColoring(n, len(targets), colors)), stats
+        witness = EdgeColoring(n, len(targets), colors)
+        rainbow = is_gallai(witness)
+        if rainbow is not True:
+            raise RuntimeError(f"witness fails is_gallai: rainbow triangle at {rainbow.vertices}")
+        hit = contains_required(witness, targets)
+        if hit is not None:
+            color, emb = hit
+            raise RuntimeError(
+                f"witness fails contains_required: monochromatic {emb.target.name} in color {color}"
+            )
+        return Verdict(BAD_COLORING, witness=witness), stats
     return Verdict(ALL_FORCED), stats
 
 

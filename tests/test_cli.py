@@ -253,6 +253,21 @@ def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch):
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
+def test_failed_witness_check_exits_4(capsys, monkeypatch):
+    # a witness the independent checkers reject is an internal error,
+    # not a bad coloring (1)
+    def leaves(self, prefix, budget, leaf):
+        yield [1] * 6, verifier.SearchStats(nodes=1)
+
+    monkeypatch.setattr(verifier._Search, "leaves", leaves)
+    code, out, err = run(capsys, "verify-upper", "-N", "4", "--targets", "P3,P3")
+    assert code == 4 and out == ""
+    assert err == (
+        "internal error: RuntimeError: witness fails contains_required: "
+        "monochromatic P3 in color 1\n"
+    )
+
+
 def test_unknown_flags_exit_2(capsys):
     assert run(capsys, "construct", "--bogus")[0] == 2
     assert run(capsys, "nonsense")[0] == 2

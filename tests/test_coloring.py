@@ -376,6 +376,45 @@ def test_edge_coloring_validation():
         EdgeColoring(1, 2, [])
 
 
+def test_edge_coloring_holds_one_byte_per_pair():
+    # the input's type does not matter: colors below 256 are bytes
+    values = [1, 3, 255, 2, 3, 1]
+    colorings = [EdgeColoring(4, 255, make(values)) for make in (list, tuple, bytes, bytearray)]
+    for c in colorings:
+        assert type(c.colors) is bytes
+        assert list(c.colors) == values and c.color(3, 0) == 255
+        assert c.used_colors() == [1, 2, 3, 255]
+        assert c == colorings[0] and hash(c) == hash(colorings[0])
+
+
+@pytest.mark.parametrize("big", [256, 10**9])
+def test_edge_coloring_keeps_a_tuple_past_a_byte(big):
+    c = EdgeColoring(3, big, [1, big, 2])
+    assert c.colors == (1, big, 2)
+    assert c.used_colors() == [1, 2, big]
+    assert c == EdgeColoring(3, big, (1, big, 2))
+
+
+@pytest.mark.parametrize("make", [list, bytes])
+@pytest.mark.parametrize("bad", [0, 3])
+def test_edge_coloring_names_the_first_bad_color(make, bad):
+    # a 0 and a k + 1 both fall outside [1, k]; the first one is named
+    other = 3 if bad == 0 else 0
+    with pytest.raises(ColorOutOfRangeError) as err:
+        EdgeColoring(4, 2, make([1, 2, bad, 1, other, 2]))
+    assert str(err.value) == f"color {bad} outside palette [1, 2]"
+
+
+@pytest.mark.parametrize("k, kind", [(9, bytes), (99, bytes), (1000, tuple)])
+def test_round_trip_one_two_and_many_digit_palettes(k, kind):
+    # one-digit colors take the byte reader, two digits the token reader
+    # into bytes, and colors past a byte the token reader into a tuple
+    c = random_gallai(60, k, 5)
+    assert type(c.colors) is kind
+    back = read_coloring(write_coloring(c))
+    assert back == c and type(back.colors) is kind
+
+
 def _random_coloring(n, k, rng, palette=None):
     """A coloring of K_n drawing each edge from `palette` (default all
     of [1, k])."""

@@ -846,6 +846,26 @@ def test_compute_gr_reports_a_failed_construction(monkeypatch):
     assert result.value is None and result.lower is failed
 
 
+@pytest.mark.parametrize(
+    "n, targets, colors, message",
+    [
+        (4, "P3,P3", [1] * 6, "witness fails contains_required: monochromatic P3 in color 1"),
+        (3, "P4,P4,P4", [1, 2, 3], "witness fails is_gallai: rainbow triangle at (0, 1, 2)"),
+    ],
+    ids=["target", "rainbow"],
+)
+def test_decide_upper_checks_its_witness(monkeypatch, n, targets, colors, message):
+    # an engine that yields a coloring holding a target, or a rainbow
+    # triangle, gets no bad_coloring verdict out of decide_upper
+    def leaves(self, prefix, budget, leaf):
+        yield colors, verifier.SearchStats(nodes=1)
+
+    monkeypatch.setattr(verifier._Search, "leaves", leaves)
+    with pytest.raises(RuntimeError) as err:
+        decide_upper(n, targets)
+    assert str(err.value) == message
+
+
 def test_report_json_shape():
     targets = parse_target_list("P5,P3")
     verdict, stats = decide_upper(4, targets)
