@@ -10,10 +10,12 @@ colors of a bytes array come from two translates over the 256 byte
 values, not from a set of its colors.
 
 The rainbow test takes one least vertex at a time, at one big-int OR
-per vertex pair, (used colors) * n bits wide (see is_gallai). It skips
-every vertex with a lower twin, a vertex that sees every other vertex
-in the same color; a Gallai coloring is a substitution of smaller ones
-into a 2-colored graph, so it is full of twins.
+per vertex pair, (used colors) * n bits wide (see is_gallai). At each
+least vertex the largest color class is never ORed: the other classes
+test their triangles with it. It skips every vertex with a lower twin,
+a vertex that sees every other vertex in the same color; a Gallai
+coloring is a substitution of smaller ones into a 2-colored graph, so
+it is full of twins.
 
 The per-edge work of the core runs at C speed where it can:
 - the class adjacency of a host with many vertices per used color
@@ -286,21 +288,28 @@ def is_gallai(c: EdgeColoring) -> Union[bool, RainbowWitness]:
     used color. For a least vertex u and a color r at u, the OR of
     packed[v] over the v above u with c(u, v) = r has a bit at w in
     block i when some such v has c(v, w) equal to the i-th color; u, v,
-    w is rainbow when that color is neither r nor c(u, w). Each color
-    at u leaves `left`, the w still to pair with u, before its test, so
-    a triangle is tested at the first of its two colors at u.
+    w is rainbow when that color is neither r nor c(u, w). The classes
+    at u are scanned in color order, except for the largest, which is
+    never ORed: it stays in `left`, the w still to pair with u, while
+    each other class leaves `left` before its test. So a triangle is
+    tested at the first of its two colors in the scan, and one with a
+    vertex in the largest class at the other class; a triangle inside
+    one class is not rainbow. This is exact, and the witness, which
+    depends only on u, stays the lex-least. A u that sees every vertex
+    above it in one color has no class to OR.
 
     Twins u < v see every other vertex in the same color, so they have
     equal per-color degrees; v is compared only with the unmarked
     vertices of equal degrees, and marked when
     (packed[u] ^ packed[v]) & ~(repk << u | repk << v) == 0. A marked
     vertex is never a least vertex, and it drops out of its class's OR
-    only after the class has left `left`. This is exact. Let t be the
-    lowest twin of a marked v: a rainbow triangle with least vertex v
-    maps to one with least vertex t, scanned earlier, and a rainbow
-    u, v, w maps to u, t, w, whose least vertex is t, scanned earlier,
-    or u, with t still in the class. So the first least vertex with a
-    rainbow triangle is scanned, and its test hits as without the marks.
+    only after the class has left `left`; the largest class never
+    leaves it. This is exact. Let t be the lowest twin of a marked v: a
+    rainbow triangle with least vertex v maps to one with least vertex
+    t, scanned earlier, and a rainbow u, v, w maps to u, t, w, whose
+    least vertex is t, scanned earlier, or u, with t still in the class.
+    So the first least vertex with a rainbow triangle is scanned, and
+    its test hits as without the marks.
     """
     used = c._used
     if len(used) <= 2:
@@ -325,18 +334,19 @@ def is_gallai(c: EdgeColoring) -> Union[bool, RainbowWitness]:
         else:
             group.append(v)
     keep = ~skip
-    for u in range(n - 2):
+    for u, column in zip(range(n - 2), zip(*rows)):
         if skip >> u & 1:
             continue
         left = above = full & -(2 << u)
+        sels = list(map(above.__and__, column))
+        big = max(sels, key=int.bit_count)
+        if big == above:
+            continue
         z = above * repk & ~packed[u]
-        for i, row in enumerate(rows):
-            sel = row[u] & above
-            if not sel:
+        for i, sel in enumerate(sels):
+            if not sel or sel == big:
                 continue
-            left &= ~sel
-            if not left:
-                break
+            left ^= sel
             sel &= keep
             un = 0
             while sel:

@@ -9,6 +9,8 @@ vertex but keep their color, so certificates use the caller's palette.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .coloring import EdgeColoring
 from .formulas import TargetSpec, predicted_gr
 
@@ -46,6 +48,6 @@ def build_lower_bound_coloring(spec: TargetSpec) -> EdgeColoring:
     block = [0] * n
     for j, vertices in enumerate(blocks, 1):
         block[vertices.start:vertices.stop] = [j] * len(vertices)
-    # pair (u, v), u < v, takes the color of v's block
-    colors = [j for v in range(1, n) for j in block[v:]]
+    # pair (u, v), u < v, takes the color of v's block: row u is block[u + 1:]
+    colors = list(chain.from_iterable(block[v:] for v in range(1, n)))
     return EdgeColoring(n, spec.k, colors)

@@ -62,17 +62,22 @@ so the first hit is the lex-least:
 
 `_matching_at_least`, the feasibility oracle of the lex-least matching
 search, first builds a greedy maximal matching; reaching the asked size
-there answers yes. When greedy falls short, `_augment` grows it by
-Edmonds' augmenting paths (Edmonds, "Paths, trees, and flowers", 1965),
-contracting blossoms by relabelling their vertices' base, from one
-unmatched vertex at a time; a vertex with no augmenting path never gets
-one later, so the loop ends when too few untried vertices are left. A
-root whose free neighborhood equals that of a failed root fails too and
-is skipped, so on a blow-up host one search rules out a whole block of
-unmatched twins. This is polynomial on every host and needs no outside
-library. The oracle is exact, so the matching search is a plain loop
-with no backtracking: it takes, once per pair, the lex-least pair whose
-removal leaves enough disjoint edges for the rest.
+there answers yes. When greedy falls short, a cover certificate comes
+next: if one end of each greedy pair covers every class edge in the
+vertex set, no matching there is larger than greedy's, and the answer
+is no with no search. It settles every shortfall met on the layered
+construction's classes (family specs with n = 3 to 7). Otherwise
+`_augment` grows the matching by Edmonds' augmenting paths (Edmonds,
+"Paths, trees, and flowers", 1965), contracting blossoms by relabelling
+their vertices' base, from one unmatched vertex at a time; a vertex
+with no augmenting path never gets one later, so the loop ends when too
+few untried vertices are left. A root whose free neighborhood equals
+that of a failed root fails too and is skipped, so on a blow-up host
+one search rules out a whole block of unmatched twins. This is
+polynomial on every host and needs no outside library. The oracle is
+exact, so the matching search is a plain loop with no backtracking: it
+takes, once per pair, the lex-least pair whose removal leaves enough
+disjoint edges for the rest.
 """
 
 from __future__ import annotations
@@ -322,11 +327,44 @@ def _augment(adj: list[int], free: int, mate: dict[int, int], root: int) -> int:
     return -1
 
 
+def _greedy_cover(adj: list[int], mate: dict[int, int], roots: int) -> bool:
+    """Does one end of each pair of the greedy maximal matching `mate`
+    cover every edge inside its vertex set, whose unmatched vertices
+    with a neighbor are `roots`?
+
+    The pairs are the keys of `mate` taken two at a time, as greedy
+    adds both ends of a pair at once. Of each pair the end with a root
+    for a neighbor goes into the cover, and the other end stays out; a
+    pair with two such ends needs both, and there is no such cover. The
+    unmatched vertices are pairwise apart, as greedy is maximal, and no
+    end left out has a root for a neighbor, so the cover meets every
+    edge exactly when the ends left out are pairwise apart too.
+    """
+    near = 0  # the neighbors of the ends left out so far
+    pairs = iter(mate)
+    for a, b in zip(pairs, pairs):
+        if adj[a] & roots:
+            if adj[b] & roots:
+                return False
+            a = b
+        if near >> a & 1:
+            return False
+        near |= adj[a]
+    return True
+
+
 def _matching_at_least(
     adj: list[int], free: int, r: int, out: Optional[list[int]] = None
 ) -> bool:
     """Does the class restricted to `free` contain r disjoint edges? On a
     hit, the pairs of such a matching are appended to `out` when given.
+
+    When greedy falls short of r pairs, a cover certificate comes first:
+    if one end of each greedy pair covers every edge inside `free`
+    (_greedy_cover), any matching has at most one edge per cover vertex,
+    so fewer than r, and the answer is no at once. The certificate only
+    ever answers no, so every yes, with its `out`, comes from greedy and
+    Edmonds' search alone.
 
     A root whose neighborhood within `free` equals that of a root that
     already failed is skipped, and fails too:
@@ -366,6 +404,10 @@ def _matching_at_least(
     # greedy is maximal, so an unmatched vertex with a free neighbor
     # touches a matched one: these are the only possible path ends
     roots = touched & free & ~matched
+    # one end of each greedy pair may already cover every edge: then no
+    # matching has more than len(mate) // 2 < r edges, and no search runs
+    if 0 < 2 * r - len(mate) <= roots.bit_count() and _greedy_cover(adj, mate, roots):
+        return False
     # an augmenting path joins two unmatched vertices, and a root without
     # one never gets one later (Edmonds): each missing edge needs two
     # untried roots. The neighborhoods of the failed roots rule out their

@@ -176,7 +176,16 @@ def test_is_gallai_matches_brute_force_oracle():
         colors = list(_relabeled(random_gallai(n, k, rng.randrange(2 ** 32)), rng).colors)
         colors[rng.randrange(len(colors))] = rng.randint(1, k)
         scattered.append(EdgeColoring(n, k, colors))
-    for hosts in (small, large, near, scattered):
+    # colors reversed, c -> k + 1 - c, then one recolored edge: the largest
+    # class at a least vertex often has a low color, so the classes after
+    # it in color order must still test their triangles with it
+    flipped = []
+    for _ in range(40):
+        n, k = rng.randint(20, 80), rng.randint(3, 10)
+        colors = [k + 1 - x for x in random_gallai(n, k, rng.randrange(2 ** 32)).colors]
+        colors[rng.randrange(len(colors))] = rng.randint(1, k)
+        flipped.append(EdgeColoring(n, k, colors))
+    for hosts in (small, large, near, scattered, flipped):
         verdicts = set()
         for c in hosts:
             got = is_gallai(c)

@@ -671,7 +671,7 @@ def test_verify_embedding_rejects_bad_certificates():
     assert not verify_embedding(cyc, Embedding(matching(2), 1, (0, 1, 2, 4)))
 
 
-def test_matching_oracle_agrees_with_blossom():
+def test_matching_oracle_agrees_with_blossom(monkeypatch):
     import networkx as nx
 
     def host(n, edges):
@@ -699,6 +699,22 @@ def test_matching_oracle_agrees_with_blossom():
         density = rng.uniform(1.5, 4.5) / n
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         hosts.append((n, [e for e in pairs if rng.random() < density]))
+    # sparse odd hosts, where greedy often falls short and one end per
+    # greedy pair may or may not cover every edge: triangles and longer
+    # odd cycles, some with pendant vertices, relabeled, on all vertices
+    # and on random vertex sets
+    odd = []
+    for trial in range(60):
+        edges, n = [], 0
+        for length in rng.choices((3, 3, 5, 7, 9), k=rng.randint(1, 4)):
+            cycle = list(range(n, n + length))
+            edges += zip(cycle, cycle[1:] + cycle[:1])
+            n += length
+            for v in rng.sample(cycle, rng.randint(0, length)):
+                edges.append((v, n))
+                n += 1
+        label = rng.sample(range(n), n)
+        odd.append((n, [(label[a], label[b]) for a, b in edges]))
     top = 0
     for n, edges in hosts:
         adj, best = host(n, edges)
@@ -707,6 +723,25 @@ def test_matching_oracle_agrees_with_blossom():
         for r in range(0, n // 2 + 2):
             assert _matching_at_least(adj, full, r) == (r <= best), (n, r)
     assert top >= 55
+    # count the shortfalls the cover certificate settles and those it
+    # leaves to the augmenting search
+    settled = {True: 0, False: 0}
+    cover = search._greedy_cover
+
+    def counted(*args):
+        got = cover(*args)
+        settled[got] += 1
+        return got
+
+    monkeypatch.setattr(search, "_greedy_cover", counted)
+    for n, edges in odd:
+        adj, _ = host(n, edges)
+        for free in [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(3)]:
+            g = nx.Graph((a, b) for a, b in edges if free >> a & free >> b & 1)
+            best = len(nx.max_weight_matching(g, maxcardinality=True))
+            for r in range(0, n // 2 + 2):
+                assert _matching_at_least(adj, free, r) == (r <= best), (n, edges, free, r)
+    assert settled[True] and settled[False], settled
     # multi-hub hosts: every edge touches one of the hubs, so hubs + 1
     # disjoint edges never fit, and every root must be ruled out
     for n in (20, 60, 200):
@@ -768,8 +803,8 @@ def test_root_skip_agrees_with_blossom(monkeypatch):
                     pairs = list(zip(out[::2], out[1::2]))
                     assert len(pairs) == nu == len({*out}) // 2
                     assert all(adj[a] >> b & 1 and free >> a & free >> b & 1 for a, b in pairs)
-    # on K_{b,s} greedy matches every hub, and the s - b unmatched leaves
-    # are twins: one search for an augmenting path rules them all out
+    # on K_{b,s} greedy matches every hub, and its hubs are a vertex
+    # cover of b vertices: the cover certificate settles it with no search
     calls = 0
     augment = search._augment
 
@@ -781,7 +816,19 @@ def test_root_skip_agrees_with_blossom(monkeypatch):
     monkeypatch.setattr(search, "_augment", counted)
     adj = relabeled([(h, 4 + w) for h in range(4) for w in range(40)], 44)
     assert not _matching_at_least(adj, (1 << 44) - 1, 5)
-    assert calls == 1
+    assert calls == 0
+    # with the hubs also joined to each other, hubs first, greedy pairs
+    # hub with hub, and both ends of each pair see unmatched leaves, so
+    # there is no certificate. Two searches grow the matching to the four
+    # hubs; the 36 leaves left are twins, and one more search rules them
+    # all out
+    joined = [(h, g) for h in range(4) for g in range(h + 1, 4)]
+    adj = [0] * 44
+    for a, b in joined + [(h, 4 + w) for h in range(4) for w in range(40)]:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    assert not _matching_at_least(adj, (1 << 44) - 1, 5)
+    assert calls == 3
 
 
 def greedy_short_host(n):
