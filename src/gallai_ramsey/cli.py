@@ -100,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help='e.g. "P5,P5", one per color')
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node limit")
     p.add_argument("--threads", type=int, default=1, help="parallel subtree workers")
-    p.add_argument("--no-symmetry", action="store_true", help="disable symmetry pruning")
     p.add_argument("-o", "--output", metavar="FILE", help="write a bad coloring here if found")
 
     p = cmd(
@@ -238,13 +237,7 @@ def _cmd_verify_lower(args) -> int:
 
 def _cmd_verify_upper(args) -> int:
     targets = parse_target_list(args.targets)
-    verdict, stats = decide_upper(
-        args.n,
-        targets,
-        args.budget,
-        symmetry=not args.no_symmetry,
-        threads=args.threads,
-    )
+    verdict, stats = decide_upper(args.n, targets, args.budget, threads=args.threads)
     witness_file = None
     if verdict.witness is not None and args.output:
         _write_coloring_output(verdict.witness, args.output)

@@ -45,8 +45,8 @@ pair order, colors ascending) and prunes:
 
 Every leaf reached is therefore a bad coloring and is returned as a
 witness; an empty tree means every Gallai coloring is forced. The two
-symmetry rules never change the verdict, only the statistics. They can
-be switched off for testing: their data then never lets them fire.
+symmetry rules never change the verdict, only the statistics, and they
+are always on.
 
 One loop, `_Search.leaves`, walks the tree below a prefix and yields
 each node at a given depth with the counters reached there, then None
@@ -119,9 +119,14 @@ class SearchStats:
 
 class _Search:
     """The search tree below a prefix of the edge order. A leaf at depth
-    m is a full coloring that avoids every target: the witness."""
+    m is a full coloring that avoids every target: the witness.
 
-    def __init__(self, n: int, targets: Sequence[TargetGraph], symmetry: bool):
+    The symmetry rules read two fields and nothing else:
+    `prev_same_target` for color precedence and `vertex_rule_idx` for
+    the vertex rule. All zeros in the first and -1 in the second keep
+    both from firing, which leaves the unpruned tree."""
+
+    def __init__(self, n: int, targets: Sequence[TargetGraph]):
         self.k = len(targets)
         self.edges = list(all_pairs(n))
         self.m = len(self.edges)
@@ -131,13 +136,11 @@ class _Search:
         self.assignment = [0] * self.m
         # per color: its class as a bitmask over edge indices
         self.cls = [0] * (self.k + 1)
-        # predecessor inside each group of identical targets; all zeros
-        # without symmetry, so the color rule never fires
+        # predecessor inside each group of identical targets, 0 for none
         prev: list[int] = [0] * (self.k + 1)
         last_seen: dict[TargetGraph, int] = {}
         for col, t in enumerate(targets, 1):
-            if symmetry:
-                prev[col] = last_seen.get(t, 0)
+            prev[col] = last_seen.get(t, 0)
             last_seen[t] = col
         self.prev_same_target = prev
         # per depth: the rainbow mask of its edge, kept while the search
@@ -185,8 +188,8 @@ class _Search:
             checks[t] = (kernels[t.kind], t.size, t.copy_edges, keep, copies, misses, memo)
         self.checks = [None] + [checks.get(t) for t in targets]
         # the vertex rule compares edges (0,1) and (0,2) of the lex order;
-        # at -1, without symmetry, it never fires
-        self.vertex_rule_idx = 1 if symmetry and n >= 3 else -1
+        # K_2 has no depth 1, so there it never fires
+        self.vertex_rule_idx = 1
 
     def leaves(
         self, prefix: Sequence[int], budget: int, leaf: int
@@ -375,9 +378,9 @@ _worker_search: Optional[_Search] = None
 _first_stop = None
 
 
-def _start_worker(n: int, targets: Sequence[TargetGraph], symmetry: bool, first_stop) -> None:
+def _start_worker(n: int, targets: Sequence[TargetGraph], first_stop) -> None:
     global _worker_search, _first_stop
-    _worker_search = _Search(n, targets, symmetry)
+    _worker_search = _Search(n, targets)
     _first_stop = first_stop
 
 
@@ -416,7 +419,7 @@ def _add(total: SearchStats, part: SearchStats) -> None:
     total.prunes_symmetry += part.prunes_symmetry
 
 
-def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[int]], SearchStats]:
+def _solve_split(n, targets, budget, threads) -> tuple[Optional[list[int]], SearchStats]:
     """The first witness of the whole tree, or None, with the counters,
     split at SPLIT_DEPTH: one search yields the prefixes there, each with
     the counters reached at it, and at most `threads` worker processes
@@ -431,7 +434,7 @@ def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[i
     index. The pool is closed and joined, never terminated: a worker
     killed mid-write can keep the result queue's lock and hang the pool's
     teardown for good."""
-    top = _Search(n, targets, symmetry)
+    top = _Search(n, targets)
     # a budget stop up here still hands out the prefixes reached
     *prefixes, (_, top_stats) = top.leaves((), budget, SPLIT_DEPTH)
     if not prefixes:
@@ -442,7 +445,7 @@ def _solve_split(n, targets, budget, symmetry, threads) -> tuple[Optional[list[i
     size = -(-len(tasks) // (4 * workers))
     chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
     first_stop = multiprocessing.Value("q", len(tasks))
-    init = (n, targets, symmetry, first_stop)
+    init = (n, targets, first_stop)
     with multiprocessing.Pool(workers, initializer=_start_worker, initargs=init) as pool:
         results = chain.from_iterable(pool.imap(_solve_chunk, chunks))
         for j, ((_, before), (colors, sub)) in enumerate(zip(prefixes, results)):
@@ -463,7 +466,6 @@ def decide_upper(
     spec_or_targets,
     budget: int = DEFAULT_BUDGET,
     *,
-    symmetry: bool = True,
     threads: int = 1,
 ) -> tuple[Verdict, SearchStats]:
     """Exhaustively decide whether every Gallai k-coloring of K_n
@@ -492,10 +494,10 @@ def decide_upper(
 
     start = time.perf_counter()
     if threads == 1 or n * (n - 1) // 2 <= SPLIT_DEPTH:
-        search = _Search(n, targets, symmetry)
+        search = _Search(n, targets)
         colors, stats = next(search.leaves((), budget, search.m))
     else:
-        colors, stats = _solve_split(n, targets, budget, symmetry, threads)
+        colors, stats = _solve_split(n, targets, budget, threads)
     stats.elapsed = time.perf_counter() - start
     if stats.nodes > budget:
         return Verdict(BUDGET), stats

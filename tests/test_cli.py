@@ -166,12 +166,12 @@ def test_verify_lower_failure_names_its_defects(capsys, monkeypatch):
 
 
 def test_verify_upper_no_symmetry_flag(capsys):
-    code, stdout, _ = run(
+    # the symmetry rules have no off switch
+    code, stdout, err = run(
         capsys, "verify-upper", "-N", "5", "--targets", "P5,P3", "--no-symmetry", "--json"
     )
-    assert code == 0
-    report = json.loads(stdout)
-    assert report["stats"]["prunes_symmetry"] == 0
+    assert code == 2 and stdout == ""
+    assert "unrecognized arguments: --no-symmetry" in err
 
 
 def test_compute_gr_command(capsys):

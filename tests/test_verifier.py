@@ -42,6 +42,16 @@ def kinds(n, targets, **kw):
     return verdict.kind
 
 
+def unpruned(n, targets):
+    """A search of K_n with both symmetry rules off. Their whole state is
+    `prev_same_target` and `vertex_rule_idx`: all zeros in the first and
+    -1 in the second keep them from firing."""
+    search = _Search(n, parse_target_list(targets))
+    search.prev_same_target = [0] * (search.k + 1)
+    search.vertex_rule_idx = -1
+    return search
+
+
 def test_pigeonhole_triangle():
     assert kinds(3, "P3,P3,P3") == ALL_FORCED
     assert kinds(2, "P3,P3,P3") == BAD_COLORING
@@ -75,6 +85,10 @@ def test_witness_passes_independent_checks():
 
 
 def test_matches_exhaustive_enumeration():
+    def unpruned_kind(n, targets):
+        colors, _ = first(unpruned(n, targets), ())
+        return ALL_FORCED if colors is None else BAD_COLORING
+
     rng = random.Random(5)
     names = ["P2", "P3", "P4", "P5", "C4", "C6", "M1", "M2", "M3"]
     for n in (2, 3, 4, 5):
@@ -83,7 +97,7 @@ def test_matches_exhaustive_enumeration():
                 targets = parse_target_list([rng.choice(names) for _ in range(k)])
                 want = brute_decide_upper(n, targets)
                 assert kinds(n, targets) == want
-                assert kinds(n, targets, symmetry=False) == want
+                assert unpruned_kind(n, targets) == want
     # four colors take the memoized through-edge checks; the brute force
     # enumerates up to 4^6 colorings of K_4. Small targets, since with
     # the names above nearly every four-color list has a bad coloring.
@@ -94,7 +108,7 @@ def test_matches_exhaustive_enumeration():
             targets = parse_target_list([rng.choice(small) for _ in range(4)])
             want = brute_decide_upper(n, targets)
             assert kinds(n, targets) == want
-            assert kinds(n, targets, symmetry=False) == want
+            assert unpruned_kind(n, targets) == want
             verdicts.add(want)
     assert verdicts == {ALL_FORCED, BAD_COLORING}
 
@@ -152,7 +166,7 @@ def test_leaves_ends_with_one_counters_item(budget, want):
     # with no witness in C4,C4,C4@7, the search loop yields exactly one
     # item, once the tree runs out or past the budget: None with the
     # final counters
-    search = _Search(7, parse_target_list("C4,C4,C4"), True)
+    search = _Search(7, parse_target_list("C4,C4,C4"))
     assert list(search.leaves((), budget, search.m)) == [(None, want)]
 
 
@@ -160,7 +174,7 @@ def test_prefix_search_counters_at_budget_stop():
     # the split's top levels yield each prefix with the counters reached
     # there and the counters at the stop last: C4,C4,C4,C4@7 at budget
     # 100 reaches 53 prefixes, the last at 100 nodes, and stops at 101
-    top = _Search(7, parse_target_list("C4,C4,C4,C4"), True)
+    top = _Search(7, parse_target_list("C4,C4,C4,C4"))
     *prefixes, last = top.leaves((), 100, SPLIT_DEPTH)
     assert last == (None, SearchStats(101, 0, 0, 19))
     assert len(prefixes) == 53
@@ -170,7 +184,7 @@ def test_prefix_search_counters_at_budget_stop():
 def test_witness_stop_holds_its_counters():
     # a caller that stops at a witness holds the counters yielded with
     # it, as a budget stop's are those at the node over the budget
-    search = _Search(7, parse_target_list("C4,C4,C4,C4"), True)
+    search = _Search(7, parse_target_list("C4,C4,C4,C4"))
     colors, stats = first(search, ())
     assert colors is not None
     assert counts(stats) == (6_791, 3_329, 1_714, 42)
@@ -194,7 +208,7 @@ def test_memo_entries_match_direct_checks(n, targets, prefixes):
     # must hold too; a pool worker runs its subtasks on one search, so
     # the memo must stay true across prefixes. A matching key holds only
     # the class edges that avoid both ends of the new edge, and the edge.
-    search = _Search(n, parse_target_list(targets), True)
+    search = _Search(n, parse_target_list(targets))
     for prefix in prefixes:
         assert first(search, prefix)[0] is None
     ((t, memo),) = search.memos.items()
@@ -248,7 +262,7 @@ def test_cache_entries_are_true_facts(n, targets, prefixes):
     # not in use holds the guard bit alone in the copy cache, 0 in the
     # no-copy cache. For a matching both hold, besides the edge, only
     # edges that avoid its ends
-    search = _Search(n, parse_target_list(targets), True)
+    search = _Search(n, parse_target_list(targets))
     for prefix in prefixes:
         assert first(search, prefix)[0] is None
     for t, (copies, misses) in search.caches.items():
@@ -342,7 +356,7 @@ def test_packed_caches_match_plain_lists(monkeypatch):
         return copy != 0
 
     monkeypatch.setattr(verifier, "exists_matching_with_edge", kernel)
-    search = _Search(11, parse_target_list("M2,M2"), False)
+    search = unpruned(11, "M2,M2")
     ((copies, misses),) = search.caches.values()
     plain = {edge: ([], []) for edge in (0, 2, 9, 17, 20, 40, 54)}
     answers = {True: 0, False: 0, None: 0}
@@ -464,7 +478,7 @@ def test_kernels_get_the_class_without_the_new_edge(monkeypatch, n, targets, bud
 
     for name in ("exists_path_through", "exists_cycle_through", "exists_matching_with_edge"):
         monkeypatch.setattr(verifier, name, checked(getattr(verifier, name)))
-    search = _Search(n, parse_target_list(targets), True)
+    search = _Search(n, parse_target_list(targets))
     next(search.leaves((), budget, search.m))
     assert seen[0] == calls
 
@@ -481,9 +495,9 @@ def test_reused_search_matches_fresh_one():
         ((1, 1, 1, 1, 2, 1), DEFAULT_BUDGET),
         ((1, 1, 1, 1, 2, 3), DEFAULT_BUDGET),
     ]
-    search = _Search(n, targets, True)
+    search = _Search(n, targets)
     got = [first(search, prefix, budget) for prefix, budget in runs]
-    want = [first(_Search(n, targets, True), prefix, budget) for prefix, budget in runs]
+    want = [first(_Search(n, targets), prefix, budget) for prefix, budget in runs]
     assert [colors for colors, _ in got] == [colors for colors, _ in want]
     assert [counts(stats) for _, stats in got] == [counts(stats) for _, stats in want]
     assert [stats.nodes for _, stats in want] == [1_001, 19_089, 14_728]
@@ -502,13 +516,13 @@ def test_stopped_worker_skips_later_subtasks(monkeypatch):
     targets = parse_target_list("C4,C4,C4,C4")
     witness, empty, full = (1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 2, 3)
     first_stop = multiprocessing.Value("q", 100)
-    _start_worker(7, targets, True, first_stop)
+    _start_worker(7, targets, first_stop)
     got = _solve_chunk([(0, empty, DEFAULT_BUDGET), (1, full, DEFAULT_BUDGET)])
     assert [stats.nodes for _, stats in got] == [4_588, 14_728]
     assert first_stop.value == 100
     for budget, found, nodes in [(DEFAULT_BUDGET, True, 27_493), (1_000, False, 1_001)]:
         first_stop = multiprocessing.Value("q", 100)
-        _start_worker(7, targets, True, first_stop)
+        _start_worker(7, targets, first_stop)
         got = _solve_chunk([(3, witness, budget), (4, full, DEFAULT_BUDGET)])
         (colors, stats), (skipped, zero) = got
         assert (colors is not None, stats.nodes, first_stop.value) == (found, nodes, 3)
@@ -517,7 +531,7 @@ def test_stopped_worker_skips_later_subtasks(monkeypatch):
     # subtasks but still runs the earlier ones, and a stop of its own
     # lowers the index further
     first_stop = multiprocessing.Value("q", 100)
-    _start_worker(7, targets, True, first_stop)
+    _start_worker(7, targets, first_stop)
     first_stop.value = 5
     ((colors, stats),) = _solve_chunk([(6, empty, DEFAULT_BUDGET)])
     assert colors is None and counts(stats) == (0, 0, 0, 0)
@@ -538,7 +552,7 @@ def test_chunk_takes_its_earlier_nodes_off_each_share(monkeypatch):
     targets = parse_target_list("C4,C4,C4,C4")
     empty, full = (1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 2, 3)
     first_stop = multiprocessing.Value("q", 100)
-    _start_worker(7, targets, True, first_stop)
+    _start_worker(7, targets, first_stop)
     got = _solve_chunk([(0, empty, DEFAULT_BUDGET), (1, full, 5_000)])
     assert [(colors, stats.nodes) for colors, stats in got] == [(None, 4_588), (None, 413)]
     assert first_stop.value == 1
@@ -563,16 +577,16 @@ def test_deterministic_across_runs():
 
 def test_symmetry_off_same_verdict_more_nodes():
     v_on, s_on = decide_upper(6, "P5,P5,P3")
-    v_off, s_off = decide_upper(6, "P5,P5,P3", symmetry=False)
-    assert v_on.kind == v_off.kind == ALL_FORCED
+    colors_off, s_off = first(unpruned(6, "P5,P5,P3"), ())
+    assert v_on.kind == ALL_FORCED and colors_off is None
     assert s_off.nodes >= s_on.nodes
     assert s_on.prunes_symmetry > 0
+    assert s_off.prunes_symmetry == 0
 
 
-def labelled_census(n, targets, symmetry):
-    """The leaves of the whole tree per number of colors they use; with
-    symmetry off, the labelled bad colorings of K_n."""
-    search = _Search(n, targets, symmetry)
+def labelled_census(search):
+    """The leaves of the whole tree per number of colors they use; on an
+    unpruned search of K_n, the labelled bad colorings of K_n."""
     counts = {}
     for colors, _ in search.leaves((), 10 ** 9, search.m):
         if colors is not None:
@@ -603,13 +617,13 @@ def test_color_precedence_keeps_one_coloring_per_orbit(targets, n, labelled, lea
     # bad colorings that use j colors. The vertex rule never fires here:
     # precedence puts color 1 on (0, 1).
     targets = parse_target_list(targets)
-    by_colors = labelled_census(n, targets, False)
+    by_colors = labelled_census(unpruned(n, targets))
     assert sum(by_colors.values()) == labelled
     orbits = 0
     for j, count in by_colors.items():
         assert count % perm(len(targets), j) == 0, (j, count)
         orbits += count // perm(len(targets), j)
-    assert sum(labelled_census(n, targets, True).values()) == orbits == leaves
+    assert sum(labelled_census(_Search(n, targets)).values()) == orbits == leaves
 
 
 @pytest.mark.parametrize(
@@ -618,7 +632,7 @@ def test_color_precedence_keeps_one_coloring_per_orbit(targets, n, labelled, lea
 def test_labelled_census_matches_brute_force(targets, largest):
     targets = parse_target_list(targets)
     for n in range(2, largest + 1):
-        assert labelled_census(n, targets, False) == brute_labelled_count(n, targets), n
+        assert labelled_census(unpruned(n, targets)) == brute_labelled_count(n, targets), n
 
 
 def counts(stats):
@@ -635,26 +649,23 @@ def test_parallel_matches_sequential():
     # C4,C4,C4,C4@7 finds its witness (s = 6,791) inside the first chunk,
     # and P5,P5,P3@6 is all_forced at s = 4,593 over 108 subtasks.
     # M3,M3@8 (s = 24,904) runs the matching kernel inside the workers.
-    # With symmetry off, P5,P5,P3@6 is all_forced at s = 9,402 and
-    # P5,P5@5 bad_coloring at s = 15; C4,C4,C4,C4@7 finds its witness at
-    # s = 11,935, and workers that kept the color rule there would stop
-    # at the symmetric run's witness instead.
     cases = [(6, "P5,P5"), (5, "P5,P5"), (6, "C6,P3"), (8, "P6,P6"), (7, "P7,P5"), (5, "P3,P3,P3")]
     cases += [(7, "C4,C4,C4,C4"), (6, "P5,P5,P3"), (8, "M3,M3")]
-    off = [(6, "P5,P5,P3"), (5, "P5,P5"), (7, "C4,C4,C4,C4")]
-    cases = [(n, targets, True) for n, targets in cases]
-    cases += [(n, targets, False) for n, targets in off]
-    for n, targets, symmetry in cases:
-        s = decide_upper(n, targets, symmetry=symmetry)[1].nodes
+    for n, targets in cases:
+        s = decide_upper(n, targets)[1].nodes
         for budget in (s - 1, s, s + 1):
-            v_seq, s_seq = decide_upper(n, targets, budget, symmetry=symmetry)
-            v_par, s_par = decide_upper(n, targets, budget, symmetry=symmetry, threads=2)
-            assert v_par.kind == v_seq.kind, (targets, budget, symmetry)
+            v_seq, s_seq = decide_upper(n, targets, budget)
+            v_par, s_par = decide_upper(n, targets, budget, threads=2)
+            assert v_par.kind == v_seq.kind, (targets, budget)
             assert v_par.witness == v_seq.witness
             assert (v_seq.kind == BUDGET) == (budget < s)
             if v_seq.kind != BUDGET:
                 assert counts(s_par) == counts(s_seq)
-    got = [counts(decide_upper(n, targets, symmetry=False, threads=2)[1]) for n, targets in off]
+    # the unpruned trees of three of them, run in sequence: P5,P5,P3@6 is
+    # all_forced at s = 9,402, P5,P5@5 bad_coloring at s = 15, and
+    # C4,C4,C4,C4@7 finds its witness at s = 11,935
+    off = [(6, "P5,P5,P3"), (5, "P5,P5"), (7, "C4,C4,C4,C4")]
+    got = [counts(first(unpruned(n, targets), ())[1]) for n, targets in off]
     assert got == [(9_402, 2_684, 3_585, 0), (15, 0, 5, 0), (11_935, 5_950, 2_993, 0)]
 
 
